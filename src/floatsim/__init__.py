@@ -5,7 +5,7 @@ from .roadnet import (
     grid_to_json, grid_from_json,
 )
 from .mobility import (
-    ContactEvent, MobilityFeatures, NodeTrack, SpeedModel, TrajectorySet,
+    ContactEvent, ContactTable, MobilityFeatures, NodeTrack, SpeedModel, TrajectorySet,
     detect_contacts, load_traces, mobility_features, simulate_manhattan, KMH,
 )
 from .fcsim import (

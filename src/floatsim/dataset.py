@@ -19,7 +19,7 @@ from scipy import ndimage
 from scipy.special import erf
 
 from .fcsim import ChannelModel, SimContext
-from .mobility import ContactEvent, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
+from .mobility import ContactTable, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
 from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
 from .scheme import FcScheme, all_on, all_zero
@@ -187,7 +187,7 @@ def gen_random_schemes(K: int, L: int, T: int, seed: int, style: str = "mixed",
 
 def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcScheme],
                   channel: ChannelModel, seed: int,
-                  contacts: list[ContactEvent] | None = None,
+                  contacts: ContactTable | None = None,
                   seeding_mode: str = "exact", scenario: str = "sim") -> list[TrainingPair]:
     """Simulate every scheme over the trajectories; all pairs share one
     mobility-feature array.  Per-scheme seeds derive from the master seed."""

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .mobility import ContactEvent, TrajectorySet, interval_of_tick, interval_ticks
+from .mobility import (ContactEvent, ContactTable, TrajectorySet, interval_of_tick,
+                       interval_ticks, sample_index)
 from .roadnet import RoadGrid
 from .scheme import FcScheme
 
@@ -145,13 +146,14 @@ class SimContext:
     """Precompiled per-tick view of (trajectories, contacts) that many
     scheme runs share.  Immutable once built; run() has no side effects."""
 
-    def __init__(self, grid: RoadGrid, traj: TrajectorySet, contacts: list[ContactEvent],
-                 channel: ChannelModel, d_t, seeding_mode: str = "exact"):
+    def __init__(self, grid: RoadGrid, traj: TrajectorySet,
+                 contacts: ContactTable | list[ContactEvent], channel: ChannelModel, d_t,
+                 seeding_mode: str = "exact"):
         if seeding_mode not in ("exact", "floor"):
             raise ValueError(f"unknown seeding_mode {seeding_mode!r}")
         self.grid = grid
         self.traj = traj
-        self.contacts = contacts
+        self.contacts = contacts = ContactTable.of(contacts)
         self.channel = channel
         self.d_t = np.asarray(d_t, dtype=float)
         self.seeding_mode = seeding_mode
@@ -165,38 +167,23 @@ class SimContext:
         self.boundary_of_tick = np.full(self.sim_ticks, -1, dtype=np.int64)
         self.boundary_of_tick[boundaries] = np.arange(self.T)
 
-        n_tracks = traj.num_tracks
         self.enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
         self.exit = np.array([tr.exit_tick for tr in traj.tracks], dtype=np.int64)
-        lens = np.array([len(tr.pos) for tr in traj.tracks], dtype=np.int64)
-        self.offset = (np.concatenate([[0], np.cumsum(lens)[:-1]])
-                       if n_tracks else np.zeros(0, np.int64))
+        s_track, s_tick, self.offset = sample_index(traj)
         self.sample_link = (np.concatenate([tr.link for tr in traj.tracks])
-                            if n_tracks else np.zeros(0, np.int64))
+                            if traj.tracks else np.zeros(0, np.int64))
 
         # per-tick presence slices over samples sorted by tick
-        s_track = np.repeat(np.arange(n_tracks, dtype=np.int64), lens)
-        s_tick = (np.concatenate([tr.ticks() for tr in traj.tracks])
-                  if n_tracks else np.zeros(0, np.int64))
         order = np.argsort(s_tick, kind="stable")
         self.pt_track = s_track[order]
         self.pt_link = self.sample_link[order]
         self.pt_bounds = np.searchsorted(s_tick[order], np.arange(self.sim_ticks + 1))
 
         # per-tick contact slices
-        self.ev_start = np.array([e.start for e in contacts], dtype=np.int64)
-        self.ev_end = np.array([e.end for e in contacts], dtype=np.int64)
-        self.ev_i = np.array([e.i for e in contacts], dtype=np.int64)
-        self.ev_j = np.array([e.j for e in contacts], dtype=np.int64)
-        ev_dur = self.ev_end - self.ev_start + 1
-        self.ev_off = (np.concatenate([[0], np.cumsum(ev_dur)[:-1]])
-                       if contacts else np.zeros(0, np.int64))
-        self.ev_dist = (np.concatenate([e.dist for e in contacts])
-                        if contacts else np.zeros(0))
-        c_tick = (np.concatenate([np.arange(e.start, e.end + 1) for e in contacts])
-                  if contacts else np.zeros(0, np.int64))
-        c_event = np.repeat(np.arange(len(contacts), dtype=np.int64), ev_dur) \
-            if contacts else np.zeros(0, np.int64)
+        self.ev_start, self.ev_end = contacts.start, contacts.end
+        self.ev_i, self.ev_j = contacts.i, contacts.j
+        self.ev_off, self.ev_dist = contacts.off, contacts.dist
+        c_event, c_tick = contacts.contact_ticks()
         keep = c_tick < self.sim_ticks
         c_tick, c_event = c_tick[keep], c_event[keep]
         order = np.argsort(c_tick, kind="stable")
@@ -474,7 +461,7 @@ class SimContext:
         return kept_receptions, next_tid
 
 
-def run_fc(traj: TrajectorySet, contacts: list[ContactEvent], scheme: FcScheme,
+def run_fc(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent], scheme: FcScheme,
            channel: ChannelModel, d_t, *, grid: RoadGrid, zoi=None, seed: int = 0,
            seeding_mode: str = "exact", record_holders: bool = False, v_first=None,
            debug_ledger: bool = False) -> SimOutcome:

@@ -82,6 +82,14 @@ def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.where(totals > 0, g, 0.0)
 
 
+def _split_point(lo: float, hi: float) -> float:
+    """Threshold between two adjacent distinct values, lo < hi: their
+    midpoint, or lo where the midpoint rounds up to hi, so that `x <= t`
+    always sends lo left and hi right."""
+    mid = (lo + hi) / 2.0
+    return float(mid if mid < hi else lo)
+
+
 class DecisionTreeClassifier:
     """CART-style classifier with Gini impurity splits."""
 
@@ -119,8 +127,7 @@ class DecisionTreeClassifier:
             weighted = (n_left * g_left + n_right * g_right) / n
             k = int(np.argmin(weighted))
             if weighted[k] < best[0] - 1e-15:
-                best = (float(weighted[k]), int(f),
-                        float((xs[cut[k]] + xs[cut[k] + 1]) / 2.0))
+                best = (float(weighted[k]), int(f), _split_point(xs[cut[k]], xs[cut[k] + 1]))
         return best[1], best[2]
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,89 @@ class ContactEvent:
     @property
     def num_ticks(self) -> int:
         return self.end - self.start + 1
+
+
+class ContactTable(Sequence):
+    """Contact episodes as columns, sorted by (start, i, j).
+
+    Row e is the episode of track pair (i[e], j[e]), i < j, over ticks
+    start[e]..end[e]; its per-tick distances are
+    dist[off[e]:off[e] + end[e] - start[e] + 1].  Indexing and iteration give
+    ContactEvent row views, and a table equals any table or list holding the
+    same events, so it stands in for a list of events.
+    """
+
+    def __init__(self, i, j, start, end, dist):
+        self.i = np.asarray(i, dtype=np.int64)
+        self.j = np.asarray(j, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.int64)
+        self.end = np.asarray(end, dtype=np.int64)
+        self.dist = np.asarray(dist, dtype=float)
+        length = self.end - self.start + 1
+        self.off = np.cumsum(length) - length
+        if len(self.dist) != int(length.sum()):
+            raise ValueError(f"{len(self.dist)} distances for {int(length.sum())} contact-ticks")
+
+    @classmethod
+    def empty(cls) -> "ContactTable":
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, none, none, np.zeros(0))
+
+    @classmethod
+    def of(cls, contacts) -> "ContactTable":
+        """The table itself, or the table of a sequence of ContactEvents."""
+        if isinstance(contacts, ContactTable):
+            return contacts
+        if not len(contacts):
+            return cls.empty()
+        return cls([e.i for e in contacts], [e.j for e in contacts],
+                   [e.start for e in contacts], [e.end for e in contacts],
+                   np.concatenate([e.dist for e in contacts]))
+
+    @property
+    def num_ticks(self) -> np.ndarray:
+        return self.end - self.start + 1
+
+    def contact_ticks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(event, tick) of every contact-tick, event by event; row r of the
+        result has distance dist[r]."""
+        length = self.num_ticks
+        event = np.repeat(np.arange(len(self), dtype=np.int64), length)
+        tick = np.arange(len(self.dist), dtype=np.int64) + np.repeat(self.start - self.off,
+                                                                     length)
+        return event, tick
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, e) -> ContactEvent:
+        if not isinstance(e, (int, np.integer)):
+            raise TypeError(f"contact table index must be an integer, not {type(e).__name__}")
+        if not -len(self) <= e < len(self):
+            raise IndexError(f"event {e} out of range for {len(self)} events")
+        e = int(e) % len(self)
+        start, end, lo = int(self.start[e]), int(self.end[e]), int(self.off[e])
+        return ContactEvent(int(self.i[e]), int(self.j[e]), start, end,
+                            self.dist[lo:lo + end - start + 1])
+
+    def __iter__(self):
+        dist = self.dist
+        for i, j, s, e, lo in zip(self.i.tolist(), self.j.tolist(), self.start.tolist(),
+                                  self.end.tolist(), self.off.tolist()):
+            yield ContactEvent(i, j, s, e, dist[lo:lo + e - s + 1])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ContactTable):
+            return all(np.array_equal(getattr(self, c), getattr(other, c))
+                       for c in ("i", "j", "start", "end", "dist"))
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                (a.i, a.j, a.start, a.end) == (b.i, b.j, b.start, b.end)
+                and np.array_equal(a.dist, b.dist) for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ContactTable({len(self)} events, {len(self.dist)} contact-ticks)"
 
 
 @dataclass
@@ -321,65 +405,99 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
 # contacts
 # ---------------------------------------------------------------------------
 
-def _presence_index(traj: TrajectorySet) -> list[np.ndarray]:
-    """Per tick: array of track indices present."""
-    per_tick: list[list[int]] = [[] for _ in range(traj.horizon)]
-    for ti, tr in enumerate(traj.tracks):
-        e = min(tr.exit_tick, traj.horizon - 1)
-        for k in range(tr.enter_tick, e + 1):
-            per_tick[k].append(ti)
-    return [np.array(v, dtype=np.int64) for v in per_tick]
+def sample_index(traj: TrajectorySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat layout of every sample, track by track: the track and the tick of
+    each sample, and the row of each track's first sample."""
+    lens = np.array([len(tr.pos) for tr in traj.tracks], dtype=np.int64)
+    enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
+    first = np.cumsum(lens) - lens
+    track = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    tick = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(enter - first, lens)
+    return track, tick, first
 
 
-def detect_contacts(traj: TrajectorySet, r: float) -> list[ContactEvent]:
-    """All maximal in-range episodes between unordered track pairs."""
+# candidate pairs screened at once: bounds the temporary memory of a sweep
+_SWEEP_BLOCK = 1 << 16
+
+
+def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
+    """All maximal in-range episodes between unordered track pairs.
+
+    A sweep over x: per tick, samples sorted by x are paired with the
+    following samples less than about r farther along x; the pair is in
+    range when sqrt(dx*dx + dy*dy) <= r.  The in-range (pair, tick) rows
+    are then run-length encoded into episodes.  Ticks outside
+    0..horizon-1 are ignored.
+    """
     if r <= 0:
         raise ValueError("contact radius must be positive")
-    present = _presence_index(traj)
-    # per-pair sparse record: pair -> (list of ticks, list of distances)
-    open_runs: dict[tuple[int, int], list] = {}
-    events: list[ContactEvent] = []
+    track, tick, _ = sample_index(traj)
+    pos = (np.concatenate([tr.pos for tr in traj.tracks]) if traj.tracks
+           else np.zeros((0, 2)))
+    inside = (tick >= 0) & (tick < traj.horizon)
+    track, tick, x, y = track[inside], tick[inside], pos[inside, 0], pos[inside, 1]
+    order = np.lexsort((x, tick))
+    track, tick, x, y = track[order], tick[order], x[order], y[order]
 
-    def close(pair, run):
-        ticks, dists = run
-        events.append(ContactEvent(pair[0], pair[1], ticks[0], ticks[-1],
-                                   np.array(dists)))
-
+    # reach[p]: end of the x window of sample p within its tick.  The slack
+    # keeps every pair whose rounded distance is <= r inside the window;
+    # the distance test alone decides.
+    n = len(x)
+    bounds = np.searchsorted(tick, np.arange(traj.horizon + 1))
+    limit = x + (r + 1e-9 * (r + (float(np.abs(x).max()) if n else 0.0)))
+    reach = np.empty(n, dtype=np.int64)
     for k in range(traj.horizon):
-        ids = present[k]
-        live: set[tuple[int, int]] = set()
-        if len(ids) >= 2:
-            pos = np.stack([traj.tracks[ti].pos[k - traj.tracks[ti].enter_tick] for ti in ids])
-            diff = pos[:, None, :] - pos[None, :, :]
-            dm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            iu, ju = np.triu_indices(len(ids), k=1)
-            hit = dm[iu, ju] <= r
-            for a, b, d in zip(iu[hit], ju[hit], dm[iu, ju][hit]):
-                ta, tb = int(ids[a]), int(ids[b])
-                pair = (ta, tb) if ta < tb else (tb, ta)
-                live.add(pair)
-                run = open_runs.get(pair)
-                if run is not None and run[0][-1] == k - 1:
-                    run[0].append(k)
-                    run[1].append(float(d))
-                else:
-                    if run is not None:
-                        close(pair, run)
-                    open_runs[pair] = [[k], [float(d)]]
-        stale = [p for p, run in open_runs.items() if run[0][-1] < k and p not in live]
-        for p in stale:
-            close(p, open_runs.pop(p))
-    for p in sorted(open_runs):
-        close(p, open_runs.pop(p))
-    events.sort(key=lambda e: (e.start, e.i, e.j))
-    return events
+        lo, hi = bounds[k], bounds[k + 1]
+        reach[lo:hi] = lo + np.searchsorted(x[lo:hi], limit[lo:hi], side="right")
+    fan = reach - np.arange(n) - 1               # partners after p in its window
+    cum = np.concatenate([[0], np.cumsum(fan)])
+
+    # one int64 key per in-range (pair, tick): (i * N + j) * (horizon + 1) + tick,
+    # so sorting the keys sorts by (i, j, tick) and a key one above its
+    # predecessor continues the same episode
+    n_tracks, stride = traj.num_tracks, traj.horizon + 1
+    if n_tracks * n_tracks * stride >= 2 ** 63:
+        raise ValueError(f"{n_tracks} tracks over {traj.horizon} ticks overflow the pair key")
+    keys, dists = [], []
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(cum, cum[a] + _SWEEP_BLOCK, side="right")) - 1, a + 1)
+        p = np.repeat(np.arange(a, b), fan[a:b])
+        q = p + 1 + np.arange(len(p)) - np.repeat(cum[a:b] - cum[a], fan[a:b])
+        dx = x[q] - x[p]
+        dy = y[q] - y[p]
+        d = np.sqrt(dx * dx + dy * dy)
+        hit = d <= r
+        p, q = p[hit], q[hit]
+        ti, tj = track[p], track[q]
+        keys.append((np.minimum(ti, tj) * n_tracks + np.maximum(ti, tj)) * stride + tick[p])
+        dists.append(d[hit])
+        a = b
+    key = np.concatenate(keys) if keys else np.zeros(0, np.int64)
+    if not len(key):
+        return ContactTable.empty()
+    dist = np.concatenate(dists)
+    del keys, dists
+    order = np.argsort(key)
+    key, dist = key[order], dist[order]
+    del order
+
+    head = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1] + 1]))
+    tail = np.concatenate([head[1:], [len(key)]]) - 1
+    pair, start = np.divmod(key[head], stride)
+    ev = np.lexsort((pair, start))                      # by (start, i, j)
+    head, tail, pair, start = head[ev], tail[ev], pair[ev], start[ev]
+    length = tail - head + 1
+    dist = dist[np.arange(len(key)) + np.repeat(head - (np.cumsum(length) - length), length)]
+    i, j = np.divmod(pair, n_tracks)
+    return ContactTable(i, j, start, start + length - 1, dist)
 
 
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
 
-def mobility_features(traj: TrajectorySet, contacts: list[ContactEvent],
+def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent],
                       grid: RoadGrid, d_t) -> MobilityFeatures:
     """Table-1 style aggregates per (link, interval).
 
@@ -387,6 +505,7 @@ def mobility_features(traj: TrajectorySet, contacts: list[ContactEvent],
     concurrent contacts over node samples; tau: mean duration of contacts
     attributed to the link where each endpoint sits at contact start.
     """
+    contacts = ContactTable.of(contacts)
     L = grid.num_links
     ivl = interval_of_tick(d_t, traj.tick, traj.horizon)
     T = int(ivl.max()) + 1 if ivl.size else 0
@@ -398,33 +517,40 @@ def mobility_features(traj: TrajectorySet, contacts: list[ContactEvent],
     tau_sum = np.zeros((L, T))
     tau_cnt = np.zeros((L, T))
 
-    # per-track concurrent contact counts
-    degree = [np.zeros(len(tr.pos), dtype=np.int32) for tr in traj.tracks]
-    for ev in contacts:
-        for ti in (ev.i, ev.j):
-            tr = traj.tracks[ti]
-            degree[ti][ev.start - tr.enter_tick:ev.end - tr.enter_tick + 1] += 1
+    _, tick, first = sample_index(traj)
+    enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
+    link = (np.concatenate([tr.link for tr in traj.tracks]) if traj.tracks
+            else np.zeros(0, np.int64))
+    speed = np.concatenate([tr.speed for tr in traj.tracks]) if traj.tracks else np.zeros(0)
 
-    for ti, tr in enumerate(traj.tracks):
-        ticks = tr.ticks()
-        ok = (ticks < len(ivl))
-        iv = ivl[ticks[ok]]
-        keep = iv >= 0
-        lk = tr.link[ok][keep]
-        iv = iv[keep]
-        np.add.at(count, (lk, iv), 1.0)
-        np.add.at(speed_sum, (lk, iv), tr.speed[ok][keep])
-        np.add.at(lam_sum, (lk, iv), degree[ti][ok][keep].astype(float))
+    # per-sample concurrent contact counts
+    event, c_tick = contacts.contact_ticks()
+    row_i = first[contacts.i[event]] + c_tick - enter[contacts.i[event]]
+    row_j = first[contacts.j[event]] + c_tick - enter[contacts.j[event]]
+    degree = (np.bincount(row_i, minlength=len(tick))
+              + np.bincount(row_j, minlength=len(tick)))
 
-    for ev in contacts:
-        if ev.start >= len(ivl) or ivl[ev.start] < 0:
-            continue
-        iv = ivl[ev.start]
-        dur = ev.num_ticks * traj.tick
-        for ti in (ev.i, ev.j):
-            tr = traj.tracks[ti]
-            tau_sum[tr.link[ev.start - tr.enter_tick], iv] += dur
-            tau_cnt[tr.link[ev.start - tr.enter_tick], iv] += 1.0
+    # np.add.at adds in index order, here sample by sample, track by track:
+    # the float sums are those of a loop over tracks
+    ok = (tick >= 0) & (tick < len(ivl))
+    iv = np.where(ok, ivl[np.where(ok, tick, 0)], -1)
+    keep = iv >= 0
+    lk, iv = link[keep], iv[keep]
+    np.add.at(count, (lk, iv), 1.0)
+    np.add.at(speed_sum, (lk, iv), speed[keep])
+    np.add.at(lam_sum, (lk, iv), degree[keep].astype(float))
+
+    # each contact counts once at the link of each endpoint at its start,
+    # event by event, i then j: the summation order of a loop over events
+    s = contacts.start
+    valid = s < len(ivl)
+    valid[valid] = ivl[s[valid]] >= 0
+    ends = np.stack([contacts.i[valid], contacts.j[valid]], axis=1).ravel()
+    at = np.repeat(s[valid], 2)
+    lk = link[first[ends] + at - enter[ends]]
+    iv = ivl[at]
+    np.add.at(tau_sum, (lk, iv), np.repeat(contacts.num_ticks[valid] * traj.tick, 2))
+    np.add.at(tau_cnt, (lk, iv), 1.0)
 
     nonzero = count > 0
     n = count / nt[None, :]

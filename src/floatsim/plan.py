@@ -288,25 +288,29 @@ class AnchorZoneResult:
 
 
 def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeights,
-                         radii=None, seed: int = 0,
-                         verify_seeds: int = 3) -> AnchorZoneResult:
+                         radii=None, seed: int = 0, verify_seeds: int = 3,
+                         run_seeds=None) -> AnchorZoneResult:
     """Classic anchor-zone dimensioning: grow a circle around the ZOI centroid
     until the simulated outcome is feasible; inside, replication, caching and
     per-interval seeding all run at full strength.
 
     Feasibility and cost use the same paired verification seeds as the
     planner, so baseline comparisons are free of common-noise artifacts.
+    `run_seeds`, when given, are the simulation seeds themselves, in place of
+    the `verify_seeds` seeds derived from `seed`.
     """
     radii = tuple(sorted(radii or default_radii(verifier.grid)))
     if not radii:
         raise ValueError("radius sweep must be non-empty")
+    if run_seeds is None:
+        run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(verify_seeds)]
     T = len(w.d_t)
     last = None
     for radius in radii:
         scheme = circular_scheme(verifier.grid, req.zoi, radius, T)
         costs, ok = [], True
-        for v_i in range(verify_seeds):
-            out = verifier.run(scheme, zoi=req.zoi, seed=derive_seed(seed, 701, v_i))
+        for run_seed in run_seeds:
+            out = verifier.run(scheme, zoi=req.zoi, seed=run_seed)
             costs.append(scheme_cost(out, scheme, w))
             ok = ok and is_feasible(out, req)
         last = AnchorZoneResult(scheme, float(radius), ok, float(np.mean(costs)))

@@ -1,11 +1,17 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from floatsim.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_INFEASIBLE, EXIT_OK,
-                          ConfigError, load_config, main, strategy_svg)
-from floatsim.roadnet import build_manhattan
+                          ConfigError, RunLockedError, load_config, main, run_lock,
+                          strategy_svg)
+from floatsim.roadnet import build_manhattan, grid_from_json
+from floatsim.scheme import all_on, scheme_to_csv
 
 TINY = {
     "seed": 5,
@@ -80,9 +86,37 @@ def test_lock_excludes_second_run(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text("12345")
+    (out / ".lock").write_text(str(os.getpid()))     # a live owner
     rc = main(["grid", "--config", str(path), "--out", str(out)])
     assert rc == EXIT_DEPENDENCY
+    with pytest.raises(RunLockedError):
+        with run_lock(out):
+            pass
+    assert (out / ".lock").read_text() == str(os.getpid())
+
+
+def test_stale_lock_of_exited_process_is_replaced(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0
+    (out / ".lock").write_text(str(child.pid))
+    rc = main(["grid", "--config", str(path), "--out", str(out)])
+    assert rc == EXIT_OK
+    assert (out / "grid.json").exists()
+    assert not (out / ".lock").exists()
+    assert not list(out.glob(".lock*"))
+
+
+def test_unreadable_lock_is_kept(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text("")       # created, pid not written yet
+    with pytest.raises(RunLockedError):
+        with run_lock(out):
+            pass
+    assert (out / ".lock").exists()
 
 
 def test_pipeline_produces_all_artifacts(tmp_path):
@@ -131,6 +165,25 @@ def test_seed_override_changes_artifacts(tmp_path):
             argv += ["--seed", str(seed)]
         assert main(argv) == EXIT_OK
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
+
+
+def test_all_on_plan_saves_exactly_nothing(tmp_path):
+    # the report scores the reference strategies on the plan's own first
+    # evaluate seeds, so an all-on plan costs exactly what all-on costs
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    grid = grid_from_json((out / "grid.json").read_text())
+    (out / "plan.csv").write_text(scheme_to_csv(all_on(grid.num_links, 2)))
+    for step in ("evaluate", "report"):
+        assert main([step, "--config", str(path), "--out", str(out),
+                     "--deterministic-svg"]) == EXIT_OK
+    rows = {r["strategy"]: r for r in
+            csv.DictReader((out / "report" / "savings.csv").read_text().splitlines())}
+    assert rows["planned"]["cost"] == rows["all_on"]["cost"]
+    assert rows["planned"]["feasible"] == rows["all_on"]["feasible"]
+    assert float(rows["planned"]["savings_vs_all_on_pct"]) == 0.0
 
 
 def test_infeasible_request_exit_code(tmp_path):

@@ -235,6 +235,17 @@ def test_tree_learns_separable_data():
     assert (model.predict(x) == y).mean() > 0.95
 
 
+def test_tree_splits_adjacent_floats():
+    # (0.9999999999999999 + 1.0) / 2 rounds to 1.0: a midpoint threshold
+    # would send both rows left and leave an empty right child
+    lo = 0.9999999999999999
+    assert np.nextafter(lo, 2.0) == 1.0 and (lo + 1.0) / 2.0 == 1.0
+    x = np.array([[lo], [1.0], [lo], [1.0]])
+    y = np.array([0, 1, 0, 1])
+    model = DecisionTreeClassifier().fit(x, y)
+    assert np.array_equal(model.predict(x), y)
+
+
 def test_forest_single_tree_matches_lone_tree():
     x, y = _toy_rows(120)
     forest = RandomForestClassifier(n_trees=1, bootstrap=False,
