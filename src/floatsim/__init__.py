@@ -9,7 +9,7 @@ from .mobility import (
     detect_contacts, load_traces, mobility_features, simulate_manhattan, KMH,
 )
 from .fcsim import (
-    ChannelModel, SimContext, SimOutcome, capacity, run_fc, success_ratio,
+    ChannelModel, SimContext, SimOutcome, capacity, run_fc, safe_ratio, success_ratio,
     UndefinedRatioError,
 )
 from .scheme import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import (build_dataset, feasibility_labels, fit_normalizer,
                       gen_random_schemes, load_dataset, save_dataset)
-from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv
+from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, safe_ratio
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
 from .learn.surrogate import SurrogateHyper, load_model, save_model, train_surrogate
@@ -483,7 +483,7 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
         c = result.model.predict(p.m, p.scheme)
         z = np.asarray(req.zoi, dtype=np.int64)
         denom = p.m.n[z, :].sum(axis=0)
-        ratio = np.where(denom > 0, c.n_c[z, :].sum(axis=0) / np.maximum(denom, 1e-300), np.nan)
+        ratio = safe_ratio(c.n_c[z, :].sum(axis=0), denom, np.nan)
         pred_rows.append((ratio >= req.alpha0) & ~np.isnan(ratio))
     pred = np.concatenate(pred_rows)
     scores["surrogate"] = f_score(pred[test_idx], y[test_idx] > 0)
@@ -544,21 +544,17 @@ def cmd_evaluate(cfg: dict, out: Path, args) -> None:
     verifier = _verifier(cfg, out, grid, req.d_t)
     w = _weights(cfg, req.d_t)
     n_seeds = cfg["evaluate"]["seeds"]
-    costs, feasibles = [], []
-    first = None
+    run_seeds = [derive_seed(cfg["seed"], 8, si) for si in range(n_seeds)]
+    outcomes = verifier.run_many([scheme] * n_seeds, run_seeds, zoi=req.zoi)
+    costs = [scheme_cost(outcome, scheme, w) for outcome in outcomes]
+    feasibles = [is_feasible(outcome, req) for outcome in outcomes]
     with open(out / "alpha_samples.csv", "w") as fh:
         fh.write("seed,t,alpha\n")
-        for si in range(n_seeds):
-            run_seed = derive_seed(cfg["seed"], 8, si)
-            outcome = verifier.run(scheme, zoi=req.zoi, seed=run_seed)
-            if first is None:
-                first = outcome
-            costs.append(scheme_cost(outcome, scheme, w))
-            feasibles.append(is_feasible(outcome, req))
+        for si, outcome in enumerate(outcomes):
             for t, a in enumerate(outcome.alpha, start=1):
                 fh.write(f"{si},{t},{float(a)!r}\n")
-    (out / "outcome.csv").write_text(outcome_to_csv(first))
-    (out / "alpha.csv").write_text(alpha_to_csv(first))
+    (out / "outcome.csv").write_text(outcome_to_csv(outcomes[0]))
+    (out / "alpha.csv").write_text(alpha_to_csv(outcomes[0]))
     verdict = {"feasible": bool(all(feasibles)),
                "feasible_fraction": float(np.mean(feasibles)),
                "cost_mean": float(np.mean(costs)),
@@ -671,12 +667,9 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
     seeds = [derive_seed(cfg["seed"], 8, i) for i in range(n_paired)]
 
     def sim_cost(strategy) -> tuple[float, bool]:
-        cs, ok = [], True
-        for sd in seeds:
-            o = verifier.run(strategy, zoi=req.zoi, seed=sd)
-            cs.append(scheme_cost(o, strategy, w))
-            ok = ok and is_feasible(o, req)
-        return float(np.mean(cs)), ok
+        outs = verifier.run_many([strategy] * len(seeds), seeds, zoi=req.zoi)
+        return (float(np.mean([scheme_cost(o, strategy, w) for o in outs])),
+                all(is_feasible(o, req) for o in outs))
 
     allon_cost, allon_ok = sim_cost(all_on(grid.num_links, scheme.T))
     az = circular_az_baseline(verifier, req, w,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import erf
 
-from .fcsim import ChannelModel, SimContext
+from .fcsim import ChannelModel, SimContext, safe_ratio
 from .mobility import ContactTable, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
 from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
@@ -195,15 +195,11 @@ def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcSche
         contacts = detect_contacts(traj, channel.radius_m)
     m = mobility_features(traj, contacts, grid, d_t)
     ctx = SimContext(grid, traj, contacts, channel, d_t, seeding_mode=seeding_mode)
-    pairs = []
-    for k, scheme in enumerate(schemes):
-        run_seed = derive_seed(seed, 301, k)
-        out = ctx.run(scheme, seed=run_seed)
-        pairs.append(TrainingPair(m=m, scheme=scheme,
-                                  c=CommFeatures(out.n_c, out.gamma),
-                                  provenance="simulated", scenario=scenario,
-                                  seed=run_seed))
-    return pairs
+    run_seeds = [derive_seed(seed, 301, k) for k in range(len(schemes))]
+    outs = ctx.run_many(schemes, run_seeds)
+    return [TrainingPair(m=m, scheme=scheme, c=CommFeatures(out.n_c, out.gamma),
+                         provenance="simulated", scenario=scenario, seed=run_seed)
+            for scheme, run_seed, out in zip(schemes, run_seeds, outs)]
 
 
 def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
@@ -293,6 +289,6 @@ def feasibility_labels(pairs: list[TrainingPair], zoi, alpha0: float) -> np.ndar
         denom = p.m.n[z, :].sum(axis=0)
         num = p.c.n_c[z, :].sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
+            ratio = safe_ratio(num, denom, np.nan)
         labels.append((ratio >= alpha0) & ~np.isnan(ratio))
     return np.concatenate(labels)

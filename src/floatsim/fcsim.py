@@ -52,7 +52,6 @@ class ChannelModel:
     edge_sinr_db: float
     path_loss_exp: float
     radius_m: float
-    tech_id: int = 0
     mode: str = "capacity"          # "capacity" | "instantaneous"
     sinr_cap_db: float = 30.0
     content_bits: float | None = None   # required for capacity-mode runs
@@ -131,6 +130,12 @@ def alpha_to_csv(out: SimOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
+def safe_ratio(num, den, fill):
+    """num / den elementwise where den > 0, `fill` elsewhere: the form of
+    every success ratio and availability in the package."""
+    return np.where(den > 0, num / np.maximum(den, 1e-300), fill)
+
+
 def success_ratio(outcome: SimOutcome, zoi, t: int) -> float:
     """Fraction of ZOI nodes holding content during interval t (1-based)."""
     z = np.asarray(sorted(zoi), dtype=np.int64)
@@ -175,9 +180,30 @@ class SimContext:
 
         # per-tick presence slices over samples sorted by tick
         order = np.argsort(s_tick, kind="stable")
+        pt_tick = s_tick[order]
         self.pt_track = s_track[order]
         self.pt_link = self.sample_link[order]
-        self.pt_bounds = np.searchsorted(s_tick[order], np.arange(self.sim_ticks + 1))
+        self.pt_bounds = np.searchsorted(pt_tick, np.arange(self.sim_ticks + 1))
+
+        # node counts depend on presence alone, so every run shares one sum
+        lo, hi = self.pt_bounds[0], self.pt_bounds[self.sim_ticks]
+        cell = self.pt_link[lo:hi] * self.T + self.ivl[pt_tick[lo:hi]]
+        self.n_sum = np.bincount(cell, minlength=self.L * self.T).reshape(
+            self.L, self.T).astype(float)
+
+        # per-tick movers: samples whose link differs from their track's
+        # previous sample, the candidates of entry-keep trials
+        moved = (pt_tick > self.enter[self.pt_track]) & (
+            self.sample_link[np.maximum(order - 1, 0)] != self.pt_link)
+        self.mv_track = self.pt_track[moved]
+        self.mv_link = self.pt_link[moved]
+        self.mv_bounds = np.searchsorted(pt_tick[moved], np.arange(self.sim_ticks + 1))
+
+        # departures: tracks by last tick, with the link they left from
+        self.exit_track = np.argsort(self.exit, kind="stable")
+        self.exit_bounds = np.searchsorted(self.exit[self.exit_track],
+                                           np.arange(self.sim_ticks + 1))
+        self.exit_link = self.sample_link[self.offset + (self.exit - self.enter)]
 
         # per-tick contact slices
         self.ev_start, self.ev_end = contacts.start, contacts.end
@@ -212,190 +238,233 @@ class SimContext:
     def run(self, scheme: FcScheme, zoi=None, seed: int = 0,
             record_holders: bool = False, v_first=None,
             debug_ledger: bool = False) -> SimOutcome:
-        if scheme.shape != (self.L, self.T):
-            raise ShapeError(f"scheme shape {scheme.shape} does not match "
-                             f"grid/interval shape {(self.L, self.T)}")
-        a, b, s = scheme.a, scheme.b, scheme.s
+        return self.run_many([scheme], [seed], zoi=zoi, v_first=v_first,
+                             record_holders=record_holders, debug_ledger=debug_ledger)[0]
+
+    def run_many(self, schemes, seeds, zoi=None, v_first=None,
+                 record_holders: bool = False, debug_ledger: bool = False) -> list[SimOutcome]:
+        """Run schemes[r] with seeds[r] for every r, all R runs in lockstep.
+
+        Outcome r is bit-identical to a lone run of (schemes[r], seeds[r]):
+        draws are keyed per run, the runs share only the presence and
+        contact slices of each tick, and every sum counts whole units.
+        """
+        schemes, seeds = list(schemes), list(seeds)
+        if len(schemes) != len(seeds):
+            raise ValueError(f"{len(schemes)} schemes but {len(seeds)} seeds")
+        for scheme in schemes:
+            if scheme.shape != (self.L, self.T):
+                raise ShapeError(f"scheme shape {scheme.shape} does not match "
+                                 f"grid/interval shape {(self.L, self.T)}")
         ch = self.channel
         instant = ch.mode == "instantaneous"
         if not instant and ch.content_bits is None:
             raise ValueError("capacity-mode runs need channel.content_bits")
+        if not schemes:
+            return []
 
+        R, L, T = len(schemes), self.L, self.T
         n_tracks = self.traj.num_tracks
-        holds = np.zeros(n_tracks, dtype=bool)
-        busy = np.full(n_tracks, -1, dtype=np.int64)
-        transfers: dict[int, list] = {}
-        next_tid = 0
-
-        L, T = self.L, self.T
-        n_sum = np.zeros((L, T))
-        nc_sum = np.zeros((L, T))
-        gamma_sum = np.zeros((L, T, 1))
-        seeded = np.zeros((L, T), dtype=np.int64)
-        dropped = np.zeros((L, T), dtype=np.int64)
-        v = np.zeros((L, T))
+        A = np.stack([sc.a for sc in schemes])
+        B = np.stack([sc.b for sc in schemes])
+        S = np.stack([sc.s for sc in schemes])
+        keys = {kind: np.array([rng.key_prefix(sd, kind) for sd in seeds], dtype=np.uint64)
+                for kind in (rng.KIND_SEED_PRIORITY, rng.KIND_ENTRY_KEEP, rng.KIND_SEND,
+                             rng.KIND_RECV_KEEP, rng.KIND_PARTNER)}
+        holds = np.zeros((R, n_tracks), dtype=bool)
+        nc_sum = np.zeros((R, L, T))
+        gamma_sum = np.zeros((R, L, T))
+        seeded = np.zeros((R, L, T), dtype=np.int64)
+        dropped = np.zeros((R, L, T), dtype=np.int64)
+        v = np.zeros((R, L, T))
         if v_first is not None:
-            v[:, 0] = np.asarray(v_first, dtype=float)
-        history: list[frozenset] | None = [] if record_holders else None
-        expected_count = 0
+            v[:, :, 0] = np.asarray(v_first, dtype=float)
+        history = [[] for _ in range(R)] if record_holders else None
+        expected = np.zeros(R, dtype=np.int64)
+        if not instant:                 # per-run transfer state
+            busy = np.full((R, n_tracks), -1, dtype=np.int64)
+            transfers: list[dict[int, list]] = [{} for _ in range(R)]
+            next_tid = [0] * R
+            cap_keys = [(keys[rng.KIND_SEND][r], int(keys[rng.KIND_PARTNER][r]),
+                         int(keys[rng.KIND_RECV_KEEP][r])) for r in range(R)]
 
-        def abort(tid: int):
-            sender, receiver, _, _ = transfers.pop(tid)
-            busy[sender] = -1
-            busy[receiver] = -1
+        def abort(r: int, tids: list[int]) -> None:
+            for tid in tids:
+                sender, receiver, _, _ = transfers[r].pop(tid)
+                busy[r, sender] = -1
+                busy[r, receiver] = -1
 
         for k in range(self.sim_ticks):
             t = int(self.ivl[k])
             tids, links = self.present_at(k)
-            gains = 0
-            losses = 0
+            delta = np.zeros(R, dtype=np.int64)     # holder gains minus losses
 
-            # departures: holders that exited at k-1 lose the content
+            # departures: holders whose track ended at k-1 lose the content
             if k > 0:
-                gone_mask = holds & (self.exit == k - 1)
-                if gone_mask.any():
-                    gone = np.nonzero(gone_mask)[0]
-                    np.add.at(dropped, (self.links_at(gone, k - 1), t), 1)
-                    losses += len(gone)
-                    holds[gone] = False
-                for tid in [tid for tid, tr in transfers.items()
-                            if self.exit[tr[0]] == k - 1 or self.exit[tr[1]] == k - 1]:
-                    abort(tid)
+                gone = self.exit_track[self.exit_bounds[k - 1]:self.exit_bounds[k]]
+                if len(gone):
+                    run, col = np.nonzero(holds[:, gone])
+                    if len(run):
+                        dropped[:, :, t] += self._count(run, self.exit_link[gone[col]], R)
+                        delta -= np.bincount(run, minlength=R)
+                        holds[:, gone] = False
+                    if not instant:
+                        left = set(gone.tolist())
+                        for r in range(R):
+                            abort(r, [tid for tid, (snd, rcv, _, _) in transfers[r].items()
+                                      if snd in left or rcv in left])
 
             boundary_t = int(self.boundary_of_tick[k])
             if boundary_t >= 0:
                 if boundary_t > 0:
                     prev = boundary_t - 1
-                    denom = n_sum[:, prev]
-                    v[:, boundary_t] = np.where(denom > 0,
-                                                nc_sum[:, prev] / np.maximum(denom, 1e-300),
-                                                0.0)
+                    v[:, :, boundary_t] = safe_ratio(nc_sum[:, :, prev], self.n_sum[:, prev],
+                                                     0.0)
                 # the clamp owns boundary ticks: no entry-keep trials here
                 if len(tids):
-                    up, down = self._seed_clamp(holds, tids, links, s[:, t], k, seed,
-                                                seeded[:, t], dropped[:, t])
-                    gains += up
-                    losses += down
-            elif len(tids):
+                    delta += self._seed_clamp(holds, tids, links, S[:, :, t], k,
+                                              keys[rng.KIND_SEED_PRIORITY],
+                                              seeded[:, :, t], dropped[:, :, t])
+            else:
                 # entry-keep trials for holders that changed link this tick
-                was_present = self.enter[tids] <= k - 1
-                cand = tids[was_present]
-                if len(cand):
-                    moved = (self.links_at(cand, k - 1) != links[was_present]) & holds[cand]
-                    if moved.any():
-                        movers = cand[moved]
-                        mlinks = links[was_present][moved]
-                        u = rng.keyed_u01(seed, rng.KIND_ENTRY_KEEP, movers, 0, k)
-                        drop = u >= b[mlinks, t]
+                lo, hi = self.mv_bounds[k], self.mv_bounds[k + 1]
+                if hi > lo:
+                    movers, mlinks = self.mv_track[lo:hi], self.mv_link[lo:hi]
+                    run, col = np.nonzero(holds[:, movers])
+                    if len(run):
+                        movers, mlinks = movers[col], mlinks[col]
+                        u = rng.keyed_u01_at(keys[rng.KIND_ENTRY_KEEP][run], movers, 0, k)
+                        drop = u >= B[run, mlinks, t]
                         if drop.any():
-                            np.add.at(dropped, (mlinks[drop], t), 1)
-                            holds[movers[drop]] = False
-                            losses += int(drop.sum())
+                            run = run[drop]
+                            dropped[:, :, t] += self._count(run, mlinks[drop], R)
+                            holds[run, movers[drop]] = False
+                            delta -= np.bincount(run, minlength=R)
 
             # transfers made moot by the clamp or entry drops are aborted
-            if transfers:
-                for tid in [tid for tid, tr in transfers.items()
-                            if not holds[tr[0]] or holds[tr[1]]]:
-                    abort(tid)
+            if not instant:
+                for r in range(R):
+                    if transfers[r]:
+                        row = holds[r]
+                        abort(r, [tid for tid, (snd, rcv, _, _) in transfers[r].items()
+                                  if not row[snd] or row[rcv]])
 
             # measurement: the per-tick state is the one after the clamp
             if len(tids):
-                np.add.at(n_sum, (links, t), 1.0)
-                held = holds[tids]
-                if held.any():
-                    np.add.at(nc_sum, (links[held], t), 1.0)
+                run, col = np.nonzero(holds[:, tids])
+                if len(run):
+                    nc_sum[:, :, t] += self._count(run, links[col], R)
             if record_holders:
-                history.append(frozenset(np.nonzero(holds)[0].tolist()))
+                for r in range(R):
+                    history[r].append(frozenset(np.flatnonzero(holds[r]).tolist()))
 
             events = self.pairs_at(k)
             if instant:
-                gains += self._step_instant(events, holds, a, b, t, k, seed,
-                                            gamma_sum[:, t, 0])
+                if len(events):
+                    delta += self._step_instant(events, holds, A, B, t, k, keys,
+                                                gamma_sum[:, :, t])
             else:
-                kept, next_tid = self._step_capacity(events, holds, busy, transfers,
-                                                     next_tid, a, b, t, k, seed,
-                                                     gamma_sum[:, t, 0])
-                gains += kept
+                for r in range(R):
+                    kept, next_tid[r] = self._step_capacity(
+                        events, holds[r], busy[r], transfers[r], next_tid[r], A[r], B[r],
+                        t, k, cap_keys[r], gamma_sum[r, :, t])
+                    delta[r] += kept
 
             if debug_ledger:
-                expected_count += gains - losses
-                if int(holds.sum()) != expected_count:
+                expected += delta
+                count = holds.sum(axis=1)
+                bad = np.flatnonzero(count != expected)
+                if len(bad):
+                    r = int(bad[0])
                     raise LedgerImbalanceError(
-                        f"tick {k}: holder count {int(holds.sum())} != "
-                        f"expected {expected_count}")
-            else:
-                expected_count = int(holds.sum())
+                        f"tick {k}, run {r}: holder count {int(count[r])} != "
+                        f"expected {int(expected[r])}")
 
         nt = self.nt.astype(float)
-        out = SimOutcome(
-            n=n_sum / nt[None, :], n_c=nc_sum / nt[None, :],
-            gamma=gamma_sum / nt[None, :, None], v=v,
-            seeded=seeded, dropped=dropped, d_t=self.d_t.copy(),
-            tick=self.tick, seed=seed,
-            zoi=tuple(sorted(zoi)) if zoi is not None else None,
-            holder_history=history)
-        if zoi is not None:
-            z = np.asarray(sorted(zoi), dtype=np.int64)
-            denom = n_sum[z, :].sum(axis=0)
-            num = nc_sum[z, :].sum(axis=0)
-            out.alpha = np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
-        return out
+        z = np.asarray(sorted(zoi), dtype=np.int64) if zoi is not None else None
+        outs = []
+        for r in range(R):
+            out = SimOutcome(
+                n=self.n_sum / nt[None, :], n_c=nc_sum[r] / nt[None, :],
+                gamma=gamma_sum[r][:, :, None] / nt[None, :, None], v=v[r].copy(),
+                seeded=seeded[r].copy(), dropped=dropped[r].copy(), d_t=self.d_t.copy(),
+                tick=self.tick, seed=seeds[r],
+                zoi=tuple(sorted(zoi)) if zoi is not None else None,
+                holder_history=history[r] if record_holders else None)
+            if z is not None:
+                out.alpha = safe_ratio(nc_sum[r][z, :].sum(axis=0),
+                                       self.n_sum[z, :].sum(axis=0), np.nan)
+            outs.append(out)
+        return outs
 
     # ---------------------------------------------------------------------------
-    def _seed_clamp(self, holds, tids, links, s_t, k, seed, seeded_col, dropped_col):
-        """Set each link's holder count to round(s*n); returns (#up, #down)."""
-        u = rng.keyed_u01(seed, rng.KIND_SEED_PRIORITY, tids, 0, k)
-        counts = np.bincount(links, minlength=self.L)
+    def _count(self, run: np.ndarray, link: np.ndarray, R: int) -> np.ndarray:
+        """(R, L) number of (run, link) rows: integer counts, so float sums
+        built from them stay exact."""
+        return np.bincount(run * self.L + link, minlength=R * self.L).reshape(R, self.L)
+
+    def _seed_clamp(self, holds, tids, links, s_t, k, prefix, seeded_t, dropped_t):
+        """Set each (run, link) holder count to round(s*n); returns the net
+        change of every run's holder count."""
+        R, n, L = len(holds), len(tids), self.L
+        u = rng.keyed_u01_at(prefix[:, None], tids, 0, k).ravel()
+        counts = np.bincount(links, minlength=L)
         target = np.floor(s_t * counts + 0.5).astype(np.int64)  # .5 rounds up
-        old = holds[tids]
+        old = holds[:, tids]
+        # one sort for every run: (run, link) groups, best priority first
+        key = (np.arange(R)[:, None] * L + links).ravel()
+        limit = target.ravel()
         if self.seeding_mode == "exact":
-            order = np.lexsort((u, links))
+            order = np.lexsort((u, key))
         else:  # floor: holders sort ahead of non-holders and are never dropped
-            order = np.lexsort((u, ~old, links))
-        sorted_links = links[order]
-        group_start = np.searchsorted(sorted_links, sorted_links, side="left")
-        rank = np.arange(len(tids)) - group_start
-        limit = target
-        if self.seeding_mode == "floor":
-            cur = np.bincount(links[old], minlength=self.L)
-            limit = np.maximum(target, cur)
-        new = np.empty(len(tids), dtype=bool)
-        new[order] = rank < limit[sorted_links]
+            order = np.lexsort((u, ~old.ravel(), key))
+            limit = np.maximum(limit, np.bincount(key[old.ravel()], minlength=R * L))
+        sorted_key = key[order]
+        rank = np.arange(R * n) - np.searchsorted(sorted_key, sorted_key, side="left")
+        new = np.empty(R * n, dtype=bool)
+        new[order] = rank < limit[sorted_key]
+        new = new.reshape(R, n)
         up = new & ~old
         down = old & ~new
-        np.add.at(seeded_col, links[up], 1)
-        np.add.at(dropped_col, links[down], 1)
-        holds[tids] = new
-        return int(up.sum()), int(down.sum())
+        seeded_t += np.bincount(key[up.ravel()], minlength=R * L).reshape(R, L)
+        dropped_t += np.bincount(key[down.ravel()], minlength=R * L).reshape(R, L)
+        holds[:, tids] = new
+        return up.sum(axis=1) - down.sum(axis=1)
 
-    def _step_instant(self, events, holds, a, b, t, k, seed, gamma_col) -> int:
-        """Simultaneous single-tick transfers across all eligible contacts."""
-        if not len(events):
-            return 0
+    def _step_instant(self, events, holds, A, B, t, k, keys, gamma_t) -> np.ndarray:
+        """Simultaneous single-tick transfers across all eligible contacts of
+        every run; returns each run's holder gain."""
+        R, n_tracks = holds.shape
         i, j = self.ev_i[events], self.ev_j[events]
-        hi, hj = holds[i], holds[j]
-        elig = hi ^ hj
-        if not elig.any():
+        hi = holds[:, i]
+        run, e = np.nonzero(hi ^ holds[:, j])
+        if not len(run):
             return 0
-        i, j, hi = i[elig], j[elig], hi[elig]
+        i, j, hi = i[e], j[e], hi[run, e]
         sender = np.where(hi, i, j)
         receiver = np.where(hi, j, i)
-        u1 = rng.keyed_u01(seed, rng.KIND_SEND, i, j, k)
-        tx = u1 < a[self.links_at(sender, k), t]
+        u1 = rng.keyed_u01_at(keys[rng.KIND_SEND][run], i, j, k)
+        tx = u1 < A[run, self.links_at(sender, k), t]
         if not tx.any():
             return 0
-        np.add.at(gamma_col, self.links_at(np.unique(sender[tx]), k), 1.0)
-        u2 = rng.keyed_u01(seed, rng.KIND_RECV_KEEP, i[tx], j[tx], k)
-        kept = u2 < b[self.links_at(receiver[tx], k), t]
-        new_holders = np.unique(receiver[tx][kept])
-        gained = new_holders[~holds[new_holders]]
-        holds[gained] = True
-        return int(len(gained))
+        run, i, j, sender, receiver = run[tx], i[tx], j[tx], sender[tx], receiver[tx]
+        # a node sending on several contacts transmits once
+        s_run, s_track = np.divmod(np.unique(run * n_tracks + sender), n_tracks)
+        gamma_t += self._count(s_run, self.links_at(s_track, k), R)
+        u2 = rng.keyed_u01_at(keys[rng.KIND_RECV_KEEP][run], i, j, k)
+        kept = u2 < B[run, self.links_at(receiver, k), t]
+        # receivers held nothing before this step, so each kept one is a gain
+        g_run, g_track = np.divmod(np.unique(run[kept] * n_tracks + receiver[kept]), n_tracks)
+        holds[g_run, g_track] = True
+        return np.bincount(g_run, minlength=R)
 
     def _step_capacity(self, events, holds, busy, transfers, next_tid,
-                       a, b, t, k, seed, gamma_col) -> tuple[int, int]:
-        """Progress multi-tick transfers, then start new ones (one per node)."""
+                       a, b, t, k, keys, gamma_col) -> tuple[int, int]:
+        """One run's capacity tick: progress multi-tick transfers, then start
+        new ones (one per node).  `keys` are the run's send, partner and
+        receive-keep key prefixes."""
         ch = self.channel
+        send_key, partner_key, recv_key = keys
         kept_receptions = 0
 
         for tid in sorted(transfers):
@@ -408,8 +477,8 @@ class SimContext:
             bits += _rate(ch, self.dist_of(event, k)) * self.tick
             gamma_col[self.link_at(sender, k)] += 1.0
             if bits >= ch.content_bits:
-                u = float(rng.keyed_u01(seed, rng.KIND_RECV_KEEP,
-                                        min(sender, receiver), max(sender, receiver), k))
+                u = rng.keyed_u01_scalar(recv_key, min(sender, receiver),
+                                         max(sender, receiver), k)
                 if u < b[self.link_at(receiver, k), t] and not holds[receiver]:
                     holds[receiver] = True
                     kept_receptions += 1
@@ -428,7 +497,7 @@ class SimContext:
                 i, j, hi = i[elig], j[elig], hi[elig]
                 sender = np.where(hi, i, j)
                 receiver = np.where(hi, j, i)
-                u1 = rng.keyed_u01(seed, rng.KIND_SEND, i, j, k)
+                u1 = rng.keyed_u01_at(send_key, i, j, k)
                 ok = u1 < a[self.links_at(sender, k), t]
                 if ok.any():
                     order = np.lexsort((receiver[ok], sender[ok]))
@@ -441,14 +510,14 @@ class SimContext:
                         s_id = int(snd[start])
                         cands = [c for c in range(start, stop) if busy[rcv[c]] < 0]
                         if busy[s_id] < 0 and cands:
-                            u = float(rng.keyed_u01(seed, rng.KIND_PARTNER, s_id, 0, k))
+                            u = rng.keyed_u01_scalar(partner_key, s_id, 0, k)
                             pick = cands[min(int(u * len(cands)), len(cands) - 1)]
                             r_id, e_id = int(rcv[pick]), int(evs[pick])
                             bits = _rate(ch, self.dist_of(e_id, k)) * self.tick
                             gamma_col[self.link_at(s_id, k)] += 1.0
                             if bits >= ch.content_bits:
-                                u2 = float(rng.keyed_u01(seed, rng.KIND_RECV_KEEP,
-                                                         min(s_id, r_id), max(s_id, r_id), k))
+                                u2 = rng.keyed_u01_scalar(recv_key, min(s_id, r_id),
+                                                          max(s_id, r_id), k)
                                 if u2 < b[self.link_at(r_id, k), t] and not holds[r_id]:
                                     holds[r_id] = True
                                     kept_receptions += 1

@@ -83,7 +83,7 @@ class TrajectorySet:
         return self.horizon * self.tick
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactEvent:
     """Maximal run of ticks during which a track pair stays within range."""
     i: int               # track index, i < j
@@ -95,6 +95,13 @@ class ContactEvent:
     @property
     def num_ticks(self) -> int:
         return self.end - self.start + 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ContactEvent):
+            return NotImplemented
+        return ((self.i, self.j, self.start, self.end)
+                == (other.i, other.j, other.start, other.end)
+                and np.array_equal(self.dist, other.dist))
 
 
 class ContactTable(Sequence):
@@ -171,9 +178,7 @@ class ContactTable(Sequence):
             return all(np.array_equal(getattr(self, c), getattr(other, c))
                        for c in ("i", "j", "start", "end", "dist"))
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(
-                (a.i, a.j, a.start, a.end) == (b.i, b.j, b.start, b.end)
-                and np.array_equal(a.dist, b.dist) for a, b in zip(self, other))
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:

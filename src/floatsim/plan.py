@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import gen_random_schemes
-from .fcsim import SimContext, SimOutcome
+from .fcsim import SimContext, SimOutcome, safe_ratio
 from .mobility import MobilityFeatures
 from .rng import derive_seed
 from .scheme import CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, scheme_cost
@@ -79,11 +79,9 @@ def _predicted_outcome(model, m: MobilityFeatures, scheme: FcScheme,
     v = np.zeros((L, T))
     if v_first is not None:
         v[:, 0] = v_first
-    denom = m.n
     for t in range(1, T):
         with np.errstate(invalid="ignore", divide="ignore"):
-            carry = np.where(denom[:, t - 1] > 0,
-                             c.n_c[:, t - 1] / np.maximum(denom[:, t - 1], 1e-300), 0.0)
+            carry = safe_ratio(c.n_c[:, t - 1], m.n[:, t - 1], 0.0)
         v[:, t] = np.clip(carry, 0.0, 1.0)
     return PredictedOutcome(n=m.n, n_c=c.n_c, gamma=c.gamma, v=v)
 
@@ -92,7 +90,7 @@ def _predicted_alpha(out: PredictedOutcome, zoi) -> np.ndarray:
     z = np.asarray(sorted(zoi), dtype=np.int64)
     denom = out.n[z, :].sum(axis=0)
     num = out.n_c[z, :].sum(axis=0)
-    return np.where(denom > 0, num / np.maximum(denom, 1e-300), np.nan)
+    return safe_ratio(num, denom, np.nan)
 
 
 def _zoi_centroid(grid, zoi) -> np.ndarray:
@@ -209,17 +207,17 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
         shortlist.append((allon_idx, cands[allon_idx]))
     predicted_cost = {idx: cost for idx, _, _, cost in scored}
 
+    # common random numbers across candidates: costs are exactly paired;
+    # the whole shortlist runs as one batch
+    verify_seeds = [derive_seed(seed, 701, v_i) for v_i in range(opts.verify_seeds)]
+    outs = verifier.run_many([scheme for _, scheme in shortlist for _ in verify_seeds],
+                             verify_seeds * len(shortlist), zoi=req.zoi, v_first=v_first)
     verified_rows = []
-    for idx, scheme in shortlist:
-        costs, alphas, ok = [], [], True
-        # common random numbers across candidates: costs are exactly paired
-        for v_i in range(opts.verify_seeds):
-            out = verifier.run(scheme, zoi=req.zoi,
-                               seed=derive_seed(seed, 701, v_i), v_first=v_first)
-            costs.append(scheme_cost(out, scheme, w))
-            alphas.append(np.nan_to_num(out.alpha, nan=-1.0))
-            if not is_feasible(out, req):
-                ok = False
+    for c, (idx, scheme) in enumerate(shortlist):
+        runs = outs[c * len(verify_seeds):(c + 1) * len(verify_seeds)]
+        costs = [scheme_cost(out, scheme, w) for out in runs]
+        alphas = [np.nan_to_num(out.alpha, nan=-1.0) for out in runs]
+        ok = all(is_feasible(out, req) for out in runs)
         verified_rows.append((float(np.mean(costs)), idx, scheme,
                               np.min(np.stack(alphas), axis=0), ok))
 
@@ -266,9 +264,7 @@ def replan(model, outcome_so_far: SimOutcome, forecast_rest: MobilityFeatures,
                                f"needs at least {t0 - 1}")
     prev = t0 - 2
     with np.errstate(invalid="ignore", divide="ignore"):
-        v0 = np.where(outcome_so_far.n[:, prev] > 0,
-                      outcome_so_far.n_c[:, prev] / np.maximum(outcome_so_far.n[:, prev], 1e-300),
-                      0.0)
+        v0 = safe_ratio(outcome_so_far.n_c[:, prev], outcome_so_far.n[:, prev], 0.0)
     v0 = np.clip(v0, 0.0, 1.0)
     d_rest = np.asarray(req.d_t, dtype=float)[t0 - 1:]
     w_rest = CostWeights(d_t=d_rest, content_bits=w.content_bits, beta=w.beta,
@@ -305,14 +301,13 @@ def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeigh
     if run_seeds is None:
         run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(verify_seeds)]
     T = len(w.d_t)
+    run_seeds = list(run_seeds)
     last = None
     for radius in radii:
         scheme = circular_scheme(verifier.grid, req.zoi, radius, T)
-        costs, ok = [], True
-        for run_seed in run_seeds:
-            out = verifier.run(scheme, zoi=req.zoi, seed=run_seed)
-            costs.append(scheme_cost(out, scheme, w))
-            ok = ok and is_feasible(out, req)
+        outs = verifier.run_many([scheme] * len(run_seeds), run_seeds, zoi=req.zoi)
+        costs = [scheme_cost(out, scheme, w) for out in outs]
+        ok = all(is_feasible(out, req) for out in outs)
         last = AnchorZoneResult(scheme, float(radius), ok, float(np.mean(costs)))
         if last.feasible:
             return last

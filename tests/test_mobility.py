@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from floatsim import KMH, SpeedModel, detect_contacts, load_traces, mobility_features, simulate_manhattan
-from floatsim.mobility import EmptyTraceError, IntervalRangeError, TraceParseError
+from floatsim.mobility import (ContactEvent, ContactTable, EmptyTraceError, IntervalRangeError,
+                               TraceParseError)
 from conftest import make_traj
 
 
@@ -163,6 +164,22 @@ def test_head_on_pass_contact_duration(grid):
     assert len(events) == 1
     expected = 2 * 100.0 / (2 * v)
     assert abs(events[0].num_ticks - expected) <= 1.0
+
+
+def test_multi_tick_contact_events_compare_by_value():
+    a = ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0]))
+    assert a == ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0]))
+    assert a != ContactEvent(0, 1, 0, 1, np.array([1.0, 2.5]))
+    assert a != ContactEvent(0, 2, 0, 1, np.array([1.0, 2.0]))
+    assert a != ContactEvent(0, 1, 1, 2, np.array([1.0, 2.0]))
+    assert a != "not an event"
+    b = ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.0]))
+    same = [ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0])),
+            ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.0]))]
+    assert [a, b] == same
+    assert [a, b] != [a, ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.5]))]
+    assert ContactTable.of([a, b]) == same
+    assert ContactTable.of([a, b]) != [b, a]
 
 
 def test_contacts_symmetric_and_disjoint(desk_traj, desk_contacts):
