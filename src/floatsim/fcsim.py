@@ -81,6 +81,22 @@ def capacity(ch: ChannelModel, d: float) -> float:
     return ch.bandwidth_hz * math.log2(1.0 + sinr)
 
 
+def _trial(prefix, p, id_a, id_b, tick) -> np.ndarray:
+    """u < p for the keyed draws u = keyed_u01_at(prefix, id_a, id_b, tick),
+    drawn only where 0 < p < 1: u lies in [0, 1), so elsewhere the outcome
+    does not depend on it.  prefix and p are per row; ids are per row or
+    scalar."""
+    hit = p >= 1.0
+    unsure = np.flatnonzero((p > 0.0) & ~hit)
+    if len(unsure) == len(p):
+        return rng.keyed_u01_at(prefix, id_a, id_b, tick) < p
+    if len(unsure):
+        hit[unsure] = rng.keyed_u01_at(prefix[unsure], id_a[unsure],
+                                       id_b[unsure] if np.ndim(id_b) else id_b,
+                                       tick) < p[unsure]
+    return hit
+
+
 def _rate(ch: ChannelModel, d: float) -> float:
     """Capacity tolerant of degenerate in-sim distances (0 or beyond radius)."""
     if d > ch.radius_m:
@@ -175,6 +191,7 @@ class SimContext:
         self.enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
         self.exit = np.array([tr.exit_tick for tr in traj.tracks], dtype=np.int64)
         s_track, s_tick, self.offset = sample_index(traj)
+        self.sample_base = self.offset - self.enter     # track's sample at tick k: base + k
         self.sample_link = (np.concatenate([tr.link for tr in traj.tracks])
                             if traj.tracks else np.zeros(0, np.int64))
 
@@ -218,7 +235,7 @@ class SimContext:
 
     # -- vectorized random access ---------------------------------------------
     def links_at(self, tracks: np.ndarray, k: int) -> np.ndarray:
-        return self.sample_link[self.offset[tracks] + (k - self.enter[tracks])]
+        return self.sample_link[self.sample_base[tracks] + k]
 
     def link_at(self, track: int, k: int) -> int:
         return int(self.sample_link[self.offset[track] + (k - self.enter[track])])
@@ -247,7 +264,11 @@ class SimContext:
 
         Outcome r is bit-identical to a lone run of (schemes[r], seeds[r]):
         draws are keyed per run, the runs share only the presence and
-        contact slices of each tick, and every sum counts whole units.
+        contact slices of each tick, and every sum counts whole units.  In
+        capacity mode one transfer table holds the multi-tick transfers of
+        every run.  With debug_ledger, each tick checks every run's holder
+        count against its gains and losses, and the transfer table against
+        its invariants; a failure raises LedgerImbalanceError.
         """
         schemes, seeds = list(schemes), list(seeds)
         if len(schemes) != len(seeds):
@@ -281,18 +302,7 @@ class SimContext:
             v[:, :, 0] = np.asarray(v_first, dtype=float)
         history = [[] for _ in range(R)] if record_holders else None
         expected = np.zeros(R, dtype=np.int64)
-        if not instant:                 # per-run transfer state
-            busy = np.full((R, n_tracks), -1, dtype=np.int64)
-            transfers: list[dict[int, list]] = [{} for _ in range(R)]
-            next_tid = [0] * R
-            cap_keys = [(keys[rng.KIND_SEND][r], int(keys[rng.KIND_PARTNER][r]),
-                         int(keys[rng.KIND_RECV_KEEP][r])) for r in range(R)]
-
-        def abort(r: int, tids: list[int]) -> None:
-            for tid in tids:
-                sender, receiver, _, _ = transfers[r].pop(tid)
-                busy[r, sender] = -1
-                busy[r, receiver] = -1
+        xfer = _Transfers.empty()       # multi-tick transfers of every run
 
         for k in range(self.sim_ticks):
             t = int(self.ivl[k])
@@ -308,11 +318,6 @@ class SimContext:
                         dropped[:, :, t] += self._count(run, self.exit_link[gone[col]], R)
                         delta -= np.bincount(run, minlength=R)
                         holds[:, gone] = False
-                    if not instant:
-                        left = set(gone.tolist())
-                        for r in range(R):
-                            abort(r, [tid for tid, (snd, rcv, _, _) in transfers[r].items()
-                                      if snd in left or rcv in left])
 
             boundary_t = int(self.boundary_of_tick[k])
             if boundary_t >= 0:
@@ -333,21 +338,19 @@ class SimContext:
                     run, col = np.nonzero(holds[:, movers])
                     if len(run):
                         movers, mlinks = movers[col], mlinks[col]
-                        u = rng.keyed_u01_at(keys[rng.KIND_ENTRY_KEEP][run], movers, 0, k)
-                        drop = u >= B[run, mlinks, t]
+                        drop = ~_trial(keys[rng.KIND_ENTRY_KEEP][run], B[run, mlinks, t],
+                                       movers, 0, k)
                         if drop.any():
                             run = run[drop]
                             dropped[:, :, t] += self._count(run, mlinks[drop], R)
                             holds[run, movers[drop]] = False
                             delta -= np.bincount(run, minlength=R)
 
-            # transfers made moot by the clamp or entry drops are aborted
-            if not instant:
-                for r in range(R):
-                    if transfers[r]:
-                        row = holds[r]
-                        abort(r, [tid for tid, (snd, rcv, _, _) in transfers[r].items()
-                                  if not row[snd] or row[rcv]])
+            # transfers whose receiver left, or made moot by a departure, the
+            # clamp or an entry drop, are aborted
+            if len(xfer):
+                xfer = xfer.keep(holds[xfer.run, xfer.snd] & ~holds[xfer.run, xfer.rcv]
+                                 & (self.exit[xfer.rcv] >= k))
 
             # measurement: the per-tick state is the one after the clamp
             if len(tids):
@@ -364,11 +367,12 @@ class SimContext:
                     delta += self._step_instant(events, holds, A, B, t, k, keys,
                                                 gamma_sum[:, :, t])
             else:
-                for r in range(R):
-                    kept, next_tid[r] = self._step_capacity(
-                        events, holds[r], busy[r], transfers[r], next_tid[r], A[r], B[r],
-                        t, k, cap_keys[r], gamma_sum[r, :, t])
-                    delta[r] += kept
+                before = holds.copy() if debug_ledger else None
+                gained, xfer = self._step_capacity(xfer, events, holds, A, B, t, k, keys,
+                                                   gamma_sum[:, :, t])
+                delta += gained
+                if debug_ledger:
+                    self._check_transfers(xfer, holds, before, k)
 
             if debug_ledger:
                 expected += delta
@@ -443,91 +447,218 @@ class SimContext:
         i, j, hi = i[e], j[e], hi[run, e]
         sender = np.where(hi, i, j)
         receiver = np.where(hi, j, i)
-        u1 = rng.keyed_u01_at(keys[rng.KIND_SEND][run], i, j, k)
-        tx = u1 < A[run, self.links_at(sender, k), t]
+        tx = _trial(keys[rng.KIND_SEND][run], A[run, self.links_at(sender, k), t], i, j, k)
         if not tx.any():
             return 0
         run, i, j, sender, receiver = run[tx], i[tx], j[tx], sender[tx], receiver[tx]
         # a node sending on several contacts transmits once
         s_run, s_track = np.divmod(np.unique(run * n_tracks + sender), n_tracks)
         gamma_t += self._count(s_run, self.links_at(s_track, k), R)
-        u2 = rng.keyed_u01_at(keys[rng.KIND_RECV_KEEP][run], i, j, k)
-        kept = u2 < B[run, self.links_at(receiver, k), t]
-        # receivers held nothing before this step, so each kept one is a gain
+        return self._receive(holds, run, i, j, receiver, B, t, k, keys[rng.KIND_RECV_KEEP])
+
+    def _receive(self, holds, run, i, j, receiver, B, t, k, prefix) -> np.ndarray:
+        """Receive-keep trials of the finished transfers over contacts (i, j);
+        a receiver that keeps any copy becomes a holder.  Receivers hold
+        nothing before the trials.  Returns each run's holder gain."""
+        R, n_tracks = holds.shape
+        kept = _trial(prefix[run], B[run, self.links_at(receiver, k), t], i, j, k)
         g_run, g_track = np.divmod(np.unique(run[kept] * n_tracks + receiver[kept]), n_tracks)
         holds[g_run, g_track] = True
         return np.bincount(g_run, minlength=R)
 
-    def _step_capacity(self, events, holds, busy, transfers, next_tid,
-                       a, b, t, k, keys, gamma_col) -> tuple[int, int]:
-        """One run's capacity tick: progress multi-tick transfers, then start
-        new ones (one per node).  `keys` are the run's send, partner and
-        receive-keep key prefixes."""
-        ch = self.channel
-        send_key, partner_key, recv_key = keys
-        kept_receptions = 0
+    def _tick_bits(self, events: np.ndarray, k: int) -> np.ndarray:
+        """Bits a transfer over each contact event moves in tick k: the
+        scalar `_rate` times the tick, once per distinct contact-tick.
+        NumPy's vectorised power and log2 may differ from the scalar ones in
+        the last bit."""
+        cell, inverse = np.unique(self.ev_off[events] + (k - self.ev_start[events]),
+                                  return_inverse=True)
+        ch, tick = self.channel, self.tick
+        return np.array([_rate(ch, d) * tick for d in self.ev_dist[cell].tolist()])[inverse]
 
-        for tid in sorted(transfers):
-            sender, receiver, event, bits = transfers[tid]
-            if k > self.ev_end[event]:          # contact lost: abort, no partial content
-                busy[sender] = -1
-                busy[receiver] = -1
-                del transfers[tid]
-                continue
-            bits += _rate(ch, self.dist_of(event, k)) * self.tick
-            gamma_col[self.link_at(sender, k)] += 1.0
-            if bits >= ch.content_bits:
-                u = rng.keyed_u01_scalar(recv_key, min(sender, receiver),
-                                         max(sender, receiver), k)
-                if u < b[self.link_at(receiver, k), t] and not holds[receiver]:
-                    holds[receiver] = True
-                    kept_receptions += 1
-                busy[sender] = -1
-                busy[receiver] = -1
-                del transfers[tid]
+    def _step_capacity(self, xfer: "_Transfers", events, holds, A, B, t, k, keys,
+                       gamma_t) -> tuple[np.ndarray, "_Transfers"]:
+        """Capacity tick of every run: progress the multi-tick transfers, then
+        start new ones (one per node).  Returns each run's holder gain and the
+        transfer table after the tick."""
+        R = len(holds)
+        content_bits = self.channel.content_bits
+        recv_key = keys[rng.KIND_RECV_KEEP]
+        gain = np.zeros(R, dtype=np.int64)
+
+        # progress: a transfer whose contact ended is lost, with no partial content
+        xfer = xfer.keep(k <= self.ev_end[xfer.ev])
+        run, snd = xfer.run, xfer.snd               # this tick's senders
+        if len(xfer):
+            xfer.bits += self._tick_bits(xfer.ev, k)
+            done = xfer.bits >= content_bits
+            if done.any():
+                fin = xfer.keep(done)
+                gain += self._receive(holds, fin.run, self.ev_i[fin.ev], self.ev_j[fin.ev],
+                                      fin.rcv, B, t, k, recv_key)
+                xfer = xfer.keep(~done)
+
+        new = self._start_transfers(xfer, events, holds, A, t, k, keys) if len(events) \
+            else None
+        if new is not None:
+            run, snd = np.concatenate([run, new.run]), np.concatenate([snd, new.snd])
+            one = new.bits >= content_bits
+            if one.any():
+                fin = new.keep(one)
+                gain += self._receive(holds, fin.run, self.ev_i[fin.ev], self.ev_j[fin.ev],
+                                      fin.rcv, B, t, k, recv_key)
+            if not one.all():
+                xfer = xfer + new.keep(~one)
+        # a sender transmits on the link it is on
+        gamma_t += self._count(run, self.links_at(snd, k), R)
+        return gain, xfer
+
+    def _start_transfers(self, xfer, events, holds, A, t, k, keys) -> "_Transfers | None":
+        """Send trials and partner picks on contacts between an idle holder
+        and an idle non-holder; returns the picks as rows of a transfer table
+        (bits: this tick's), or None.
+
+        In each run, senders pick in ascending order, each uniformly among
+        its receivers that no earlier multi-tick pick made busy; a pick that
+        completes in one tick leaves its receiver free.  A sender's pick is
+        final once no earlier open sender of its run shares a candidate
+        receiver with it, so each round settles every such sender at once."""
+        n_tracks = holds.shape[1]
+        # per (run, track): 0 idle non-holder, 1 idle holder, 2 busy
+        state = holds.view(np.int8).copy()
+        state[xfer.run, xfer.snd] = 2
+        state[xfer.run, xfer.rcv] = 2
+        i, j = self.ev_i[events], self.ev_j[events]
+        si = state[:, i]
+        run, e = np.nonzero(si + state[:, j] == 1)
+        if not len(run):
+            return None
+        hi = si[run, e] == 1
+        snd = np.where(hi, i[e], j[e])
+        a = A[run, self.links_at(snd, k), t]
+        can = np.flatnonzero(a > 0.0)       # rows a send trial may pass
+        if not len(can):
+            return None
+        run, e, snd, hi, a = run[can], e[can], snd[can], hi[can], a[can]
+        ev, i, j = events[e], i[e], j[e]
+        rcv = np.where(hi, j, i)
+        # candidate rows by (run, sender, receiver); a group is one (run, sender)
+        order = np.lexsort((rcv, snd, run))
+        run, snd, rcv, ev, i, j, a = (x[order] for x in (run, snd, rcv, ev, i, j, a))
+        head = np.ones(len(run), dtype=bool)
+        head[1:] = (run[1:] != run[:-1]) | (snd[1:] != snd[:-1])
+        group = np.cumsum(head) - 1
+        # one draw for the send trials that chance decides and the partner
+        # draws of senders with a choice (the first rows of groups of two or more)
+        ok = a >= 1.0
+        unsure = np.flatnonzero(~ok)
+        choice = head.copy()
+        choice[:-1] &= ~head[1:]
+        choice[-1] = False
+        choice = np.flatnonzero(choice)
+        pick_u = np.zeros(int(group[-1]) + 1)
+        if len(unsure) or len(choice):
+            u = rng.keyed_u01_at(
+                np.concatenate([keys[rng.KIND_SEND][run[unsure]],
+                                keys[rng.KIND_PARTNER][run[choice]]]),
+                np.concatenate([i[unsure], snd[choice]]),
+                np.concatenate([j[unsure], np.zeros(len(choice), dtype=np.int64)]), k)
+            ok[unsure] = u[:len(unsure)] < a[unsure]
+            pick_u[group[choice]] = u[len(unsure):]
+
+        rows = np.flatnonzero(ok)
+        if not len(rows):
+            return None
+        p, bits = self._pick_partners(rows, group, run * n_tracks + rcv, ev, pick_u, state, k)
+        return _Transfers(run[p], snd[p], rcv[p], ev[p], bits[p])
+
+    def _pick_partners(self, rows, group, cell, ev, pick_u, state, k):
+        """Partner picks, in rounds of conflicts.  rows are the candidate
+        rows of the senders that passed their send trial, ascending; a row's
+        group is its (run, sender) and its cell its (run, receiver) in the
+        flat `state`.  Marks the receivers of multi-tick picks busy; returns
+        the picked rows, ascending, and per row the bits its pick moves this
+        tick."""
+        content_bits = self.channel.content_bits
+        flat = state.reshape(-1)            # a view
+        picked = np.zeros(len(group), dtype=bool)
+        bits = np.zeros(len(group))
+        while len(rows):
+            g = group[rows]
+            # rows sharing a receiver: all but the earliest sender's wait
+            by_cell = np.argsort(cell[rows], kind="stable")
+            c = cell[rows[by_cell]]
+            later = by_cell[1:][c[1:] == c[:-1]]
+            if len(later):
+                wait = np.zeros(len(pick_u), dtype=bool)
+                wait[g[later]] = True
+                ready = ~wait[g]
+                now, g, rows = rows[ready], g[ready], rows[~ready]
             else:
-                transfers[tid][3] = bits
+                now, rows = rows, rows[:0]
+            rank = np.arange(len(now)) - np.searchsorted(g, g)
+            n = np.bincount(g)[g]
+            chosen = now[rank == np.minimum((pick_u[g] * n).astype(np.int64), n - 1)]
+            picked[chosen] = True
+            bits[chosen] = got = self._tick_bits(ev[chosen], k)
+            flat[cell[chosen[got < content_bits]]] = 2      # multi-tick: receiver busy
+            rows = rows[flat[cell[rows]] != 2]
+        return np.flatnonzero(picked), bits
 
-        if len(events):
-            i, j = self.ev_i[events], self.ev_j[events]
-            hi, hj = holds[i], holds[j]
-            elig = (hi ^ hj) & (busy[i] < 0) & (busy[j] < 0)
-            if elig.any():
-                ev = events[elig]
-                i, j, hi = i[elig], j[elig], hi[elig]
-                sender = np.where(hi, i, j)
-                receiver = np.where(hi, j, i)
-                u1 = rng.keyed_u01_at(send_key, i, j, k)
-                ok = u1 < a[self.links_at(sender, k), t]
-                if ok.any():
-                    order = np.lexsort((receiver[ok], sender[ok]))
-                    snd, rcv, evs = sender[ok][order], receiver[ok][order], ev[ok][order]
-                    start = 0
-                    while start < len(snd):
-                        stop = start
-                        while stop < len(snd) and snd[stop] == snd[start]:
-                            stop += 1
-                        s_id = int(snd[start])
-                        cands = [c for c in range(start, stop) if busy[rcv[c]] < 0]
-                        if busy[s_id] < 0 and cands:
-                            u = rng.keyed_u01_scalar(partner_key, s_id, 0, k)
-                            pick = cands[min(int(u * len(cands)), len(cands) - 1)]
-                            r_id, e_id = int(rcv[pick]), int(evs[pick])
-                            bits = _rate(ch, self.dist_of(e_id, k)) * self.tick
-                            gamma_col[self.link_at(s_id, k)] += 1.0
-                            if bits >= ch.content_bits:
-                                u2 = rng.keyed_u01_scalar(recv_key, min(s_id, r_id),
-                                                          max(s_id, r_id), k)
-                                if u2 < b[self.link_at(r_id, k), t] and not holds[r_id]:
-                                    holds[r_id] = True
-                                    kept_receptions += 1
-                            else:
-                                busy[s_id] = next_tid
-                                busy[r_id] = next_tid
-                                transfers[next_tid] = [s_id, r_id, e_id, bits]
-                                next_tid += 1
-                        start = stop
-        return kept_receptions, next_tid
+    def _check_transfers(self, xfer: "_Transfers", holds, before, k: int) -> None:
+        """Debug checks of the transfer table after tick k: no track is in
+        two transfers of a run; senders hold the content; receivers did not
+        hold it before this tick's transfers (one that got it from a one-tick
+        transfer this tick may also be the target of a new, moot, multi-tick
+        one); both ends are present."""
+        n_tracks = holds.shape[1]
+        ends = np.concatenate([xfer.run * n_tracks + xfer.snd, xfer.run * n_tracks + xfer.rcv])
+        run, track = np.divmod(ends, n_tracks)
+        checks = [
+            ("is in two transfers", np.bincount(ends)[ends] > 1),
+            ("sends content it does not hold",
+             np.concatenate([~holds[xfer.run, xfer.snd], np.zeros(len(xfer), dtype=bool)])),
+            ("receives content it already held",
+             np.concatenate([np.zeros(len(xfer), dtype=bool), before[xfer.run, xfer.rcv]])),
+            ("is in a transfer but not present",
+             (self.enter[track] > k) | (self.exit[track] < k)),
+        ]
+        for what, bad in checks:
+            if bad.any():
+                x = int(np.argmax(bad))
+                raise LedgerImbalanceError(
+                    f"tick {k}, run {int(run[x])}: track {int(track[x])} {what}")
+
+
+@dataclass
+class _Transfers:
+    """Multi-tick transfers of a batch of runs in start order, one row each:
+    run, sender, receiver, contact event, and bits received so far."""
+    run: np.ndarray
+    snd: np.ndarray
+    rcv: np.ndarray
+    ev: np.ndarray
+    bits: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_Transfers":
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, none, none, np.zeros(0))
+
+    def __len__(self) -> int:
+        return len(self.run)
+
+    def keep(self, mask: np.ndarray) -> "_Transfers":
+        """The rows where mask is set (the table itself if that is all)."""
+        if mask.all():
+            return self
+        rows = np.flatnonzero(mask)
+        return _Transfers(self.run[rows], self.snd[rows], self.rcv[rows], self.ev[rows],
+                          self.bits[rows])
+
+    def __add__(self, other: "_Transfers") -> "_Transfers":
+        return _Transfers(*(np.concatenate([getattr(self, f), getattr(other, f)])
+                            for f in ("run", "snd", "rcv", "ev", "bits")))
 
 
 def run_fc(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent], scheme: FcScheme,

@@ -231,39 +231,60 @@ def interval_of_tick(d_t, tick: float, horizon: int) -> np.ndarray:
 # synthetic Manhattan mobility
 # ---------------------------------------------------------------------------
 
+def _route_table(grid: RoadGrid) -> tuple[dict, list[int]]:
+    """What `_walk_route` needs at each link endpoint, found once per grid.
+
+    Endpoint e of link l is 0 for p1 and 1 for p2.  hops[(l, e)], for an
+    endpoint on an intersection (the nearest one, within 1e-9 m), lists the
+    links a vehicle arriving there over l may take next, in adjacency order,
+    with the far endpoint of each; a border endpoint has no entry.  inner[l]
+    is the endpoint of link l that a vehicle entering over it drives to.
+    """
+    inter = grid.intersections
+    hops: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    inner = [1] * grid.num_links
+    if not len(inter):
+        return hops, inner
+    for ln in grid.links:
+        for e, here in enumerate((ln.p1, ln.p2)):
+            dist = np.linalg.norm(inter - np.array(here), axis=1)
+            if e == 0 and np.min(dist) < 1e-9:
+                inner[ln.id] = 0
+            k = int(np.argmin(dist))
+            if np.linalg.norm(inter[k] - np.array(here)) > 1e-9:
+                continue
+            options = [lid for lid in grid.adjacency[k] if lid != ln.id] or [ln.id]
+            hops[(ln.id, e)] = (options, [1 if np.allclose(grid.links[lid].p1, here) else 0
+                                          for lid in options])
+    return hops, inner
+
+
 def _walk_route(grid: RoadGrid, stub_id: int, rng: np.random.Generator,
-                max_hops: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
+                max_hops: int = 10_000, table=None) -> tuple[np.ndarray, np.ndarray]:
     """Random walk from a border stub to any border exit.
 
     Returns the route as polyline vertices (k, 2) plus the link id of each
     segment.  At each interior intersection the next link is drawn uniformly
     among the incident links other than the one just travelled (straight,
-    right or left); the incoming link is reused only at a dead end.
+    right or left); the incoming link is reused only at a dead end.  `table`
+    is the grid's `_route_table`, built here if not given.
     """
-    inter = grid.intersections
+    hops, inner = table if table is not None else _route_table(grid)
     stub = grid.links[stub_id]
-    # border endpoint = the stub endpoint that is not an intersection
-    d1 = np.min(np.linalg.norm(inter - np.array(stub.p1), axis=1)) if len(inter) else 1.0
-    entry, inner = (stub.p2, stub.p1) if d1 < 1e-9 else (stub.p1, stub.p2)
-
-    points = [entry, inner]
+    e = inner[stub_id]
+    points = [(stub.p1, stub.p2)[1 - e], (stub.p1, stub.p2)[e]]
     seg_links = [stub_id]
-    cur_link = stub_id
+    cur = stub_id
     for _ in range(max_hops):
-        # locate the intersection at the current inner endpoint
-        here = np.array(points[-1])
-        k = int(np.argmin(np.linalg.norm(inter - here, axis=1)))
-        if np.linalg.norm(inter[k] - here) > 1e-9:
+        step = hops.get((cur, e))
+        if step is None:
             break  # reached a border point: exit
-        options = [lid for lid in grid.adjacency[k] if lid != cur_link]
-        if not options:
-            options = [cur_link]  # dead end: U-turn allowed
-        nxt = options[int(rng.integers(len(options)))]
-        ln = grid.links[nxt]
-        far = ln.p2 if np.allclose(ln.p1, points[-1]) else ln.p1
-        points.append(far)
-        seg_links.append(nxt)
-        cur_link = nxt
+        options, far = step
+        c = int(rng.integers(len(options)))
+        cur, e = options[c], far[c]
+        ln = grid.links[cur]
+        points.append(ln.p2 if e else ln.p1)
+        seg_links.append(cur)
     return np.array(points, dtype=float), np.array(seg_links, dtype=np.int64)
 
 
@@ -300,10 +321,11 @@ def simulate_manhattan(grid: RoadGrid, arrival_rate: float, speed_model: SpeedMo
     arrivals.sort()
 
     traj = TrajectorySet(tick=tick, horizon=horizon)
+    table = _route_table(grid)
     for node_id, (t0, sid) in enumerate(arrivals):
         rng = np.random.default_rng(derive_seed(seed, 202, node_id))
         speed = speed_model.draw(rng)
-        points, seg_links = _walk_route(grid, sid, rng)
+        points, seg_links = _walk_route(grid, sid, rng, table=table)
         seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         total = cum[-1]

@@ -21,7 +21,6 @@ KIND_PARTNER = 5
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
@@ -67,27 +66,6 @@ def keyed_u01(seed: int, kind: int, id_a, id_b, tick) -> np.ndarray:
     (a 0-d array for all-scalar input, so use float() if a scalar is wanted).
     """
     return keyed_u01_at(key_prefix(seed, kind), id_a, id_b, tick)
-
-
-_M64 = int(_MASK)
-_GAMMA_INT = int(_GAMMA)
-_MUL1_INT = int(_MUL1)
-_MUL2_INT = int(_MUL2)
-
-
-def _finalize_int(x: int) -> int:
-    x = ((x ^ (x >> 30)) * _MUL1_INT) & _M64
-    x = ((x ^ (x >> 27)) * _MUL2_INT) & _M64
-    return x ^ (x >> 31)
-
-
-def keyed_u01_scalar(prefix: int, id_a: int, id_b: int, tick: int) -> float:
-    """One `keyed_u01_at` draw in Python integer arithmetic: the same bits,
-    without the per-call cost of NumPy for a single key."""
-    h = _finalize_int(((prefix + _GAMMA_INT) & _M64) ^ (id_a & _M64))
-    h = _finalize_int(((h + _GAMMA_INT) & _M64) ^ (id_b & _M64))
-    h = _finalize_int(((h + _GAMMA_INT) & _M64) ^ (tick & _M64))
-    return (h >> 11) * (2.0 ** -53)
 
 
 def derive_seed(seed: int, *fields: int) -> int:

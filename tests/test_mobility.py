@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from floatsim import KMH, SpeedModel, detect_contacts, load_traces, mobility_features, simulate_manhattan
+from floatsim import mobility
 from floatsim.mobility import (ContactEvent, ContactTable, EmptyTraceError, IntervalRangeError,
-                               TraceParseError)
+                               TraceParseError, _walk_route)
+from floatsim.roadnet import build_manhattan, grid_from_json, grid_to_json
 from conftest import make_traj
 
 
@@ -68,6 +72,78 @@ def test_nodes_stay_on_links(grid):
         d = grid.distances_to_links(tr.pos)
         chosen = d[np.arange(len(tr.pos)), tr.link]
         assert np.all(chosen < 1e-6)
+
+
+def _walk_route_by_search(grid, stub_id, rng, max_hops=10_000):
+    """The walk that searched every intersection at each hop: the reference
+    for `_walk_route`, which follows precomputed endpoint ids instead."""
+    inter = grid.intersections
+    stub = grid.links[stub_id]
+    d1 = np.min(np.linalg.norm(inter - np.array(stub.p1), axis=1)) if len(inter) else 1.0
+    entry, inner = (stub.p2, stub.p1) if d1 < 1e-9 else (stub.p1, stub.p2)
+    points = [entry, inner]
+    seg_links = [stub_id]
+    cur_link = stub_id
+    for _ in range(max_hops):
+        here = np.array(points[-1])
+        k = int(np.argmin(np.linalg.norm(inter - here, axis=1)))
+        if np.linalg.norm(inter[k] - here) > 1e-9:
+            break
+        options = [lid for lid in grid.adjacency[k] if lid != cur_link]
+        if not options:
+            options = [cur_link]
+        nxt = options[int(rng.integers(len(options)))]
+        ln = grid.links[nxt]
+        far = ln.p2 if np.allclose(ln.p1, points[-1]) else ln.p1
+        points.append(far)
+        seg_links.append(nxt)
+        cur_link = nxt
+    return np.array(points, dtype=float), np.array(seg_links, dtype=np.int64)
+
+
+def _odd_grid():
+    """Three entry stubs, a dead end at (100, 200), and a reversed link whose
+    end sits 1e-12 m off its intersection."""
+    links = [((0, 0), (100, 0), True), ((100, 0), (100, 100), False),
+             ((100, 100), (100, 200), False), ((200, 100), (100, 100 + 1e-12), False),
+             ((200, 100), (300, 100), True), ((200, 100), (200, 0), True)]
+    return grid_from_json(json.dumps({
+        "links": [{"id": n, "x1": p[0], "y1": p[1], "x2": q[0], "y2": q[1], "border_stub": b}
+                  for n, (p, q, b) in enumerate(links)],
+        "intersections": [{"x": x, "y": y} for x, y in
+                          ((100, 0), (100, 100), (200, 100), (100, 200))]}))
+
+
+_GRIDS = {
+    "manhattan_5x4": lambda: build_manhattan(5, 4, 150.0),
+    "manhattan_3x6": lambda: build_manhattan(3, 6, 97.3),
+    "json_4x4": lambda: grid_from_json(grid_to_json(build_manhattan(4, 4, 120.0))),
+    "json_odd": _odd_grid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRIDS))
+def test_walk_route_matches_intersection_search(name, monkeypatch):
+    grid = _GRIDS[name]()
+    stubs = [ln.id for ln in grid.links if ln.is_border_stub]
+    for seed in range(6):
+        for sid in stubs:
+            got_rng, want_rng = np.random.default_rng([seed, sid]), np.random.default_rng([seed, sid])
+            got, want = _walk_route(grid, sid, got_rng), _walk_route_by_search(grid, sid, want_rng)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    speed = SpeedModel.uniform(20 * KMH, 30 * KMH)
+    runs = []
+    for walk in (mobility._walk_route,
+                 lambda grid, sid, rng, table=None: _walk_route_by_search(grid, sid, rng)):
+        monkeypatch.setattr(mobility, "_walk_route", walk)
+        runs.append(simulate_manhattan(grid, 0.1, speed, duration=120.0, seed=3, warmup_s=60.0))
+    got, want = runs
+    assert len(got.tracks) == len(want.tracks) > 0
+    for a, b in zip(got.tracks, want.tracks):
+        assert (a.node, a.enter_tick) == (b.node, b.enter_tick)
+        for col in ("pos", "speed", "link"):
+            assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from floatsim import (ChannelModel, FcScheme, NodeTrack, SimContext, TrajectorySet, all_on,
                       all_zero, detect_contacts, rng)
-from floatsim.fcsim import LedgerImbalanceError, ShapeError
+from floatsim.fcsim import LedgerImbalanceError, ShapeError, _rate, _Transfers
 from engine_oracle import oracle_keyed_u01, oracle_run
 
 RADIUS = 50.0
@@ -66,6 +66,32 @@ def contexts(draw, grid, mode=None, seeding=None):
     seeding = seeding or draw(st.sampled_from(["exact", "floor"]))
     return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t,
                       seeding_mode=seeding)
+
+
+@st.composite
+def crowded_contexts(draw, grid):
+    """Capacity-mode scenarios of 6-12 nodes parked within range of each
+    other, so senders compete for the same receivers.  The content size is
+    such that close pairs move it in one tick and far pairs in several."""
+    horizon = draw(st.integers(3, 12))
+    traj = TrajectorySet(tick=1.0, horizon=horizon)
+    for node in range(draw(st.integers(6, 12))):
+        enter = draw(st.integers(0, 2))
+        n = draw(st.integers(1, horizon - enter))            # some leave early
+        spot = draw(st.sampled_from([(5.0, 5.0), (30.0, 30.0)]) | st.tuples(
+            st.floats(0.0, 30.0), st.floats(0.0, 30.0)))    # at most 42.5 m apart
+        traj.tracks.append(NodeTrack(node=node, enter_tick=enter,
+                                     pos=np.tile(np.array(spot, dtype=float), (n, 1)),
+                                     speed=np.zeros(n),
+                                     link=np.full(n, draw(st.integers(0, N_LINKS - 1)))))
+    sim = draw(st.integers(1, horizon))
+    cuts = sorted(draw(st.sets(st.integers(1, sim - 1), max_size=2))) if sim > 1 else []
+    d_t = np.diff([0] + cuts + [sim]).astype(float)
+    # one tick carries 2.6e6 bits at 42.5 m and 9.97e6 bits at 7 m or less
+    channel = ChannelModel(1.0e6, 5.0, 3.0, RADIUS, mode="capacity",
+                           content_bits=draw(st.floats(3.0e6, 9.0e6)))
+    return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t,
+                      seeding_mode=draw(st.sampled_from(["exact", "floor"])))
 
 
 def _plane(draw, L, T):
@@ -124,6 +150,16 @@ def test_run_many_matches_one_run_engine(grid, data):
         assert_same_outcome(out, outs[p])
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_contended_partner_picks_match_one_run_engine(grid, data):
+    ctx = data.draw(crowded_contexts(grid))
+    schemes, seeds = data.draw(batches(ctx.L, ctx.T))
+    outs = ctx.run_many(schemes, seeds, record_holders=True, debug_ledger=True)
+    for sc, sd, out in zip(schemes, seeds, outs):
+        assert_same_outcome(out, oracle_run(ctx, sc, seed=sd, record_holders=True))
+
+
 @pytest.mark.parametrize("mode", ["instantaneous", "capacity"])
 def test_desk_batch_matches_one_run_engine(grid, desk_traj, desk_contacts, mode):
     ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8)
@@ -165,7 +201,6 @@ def test_scalar_draw_matches_array_draw(seed, kind, id_a, id_b, tick):
     assert rng.keyed_u01(seed, kind, id_a, id_b, tick).tobytes() == want.tobytes()
     prefix = rng.key_prefix(seed, kind)
     assert rng.keyed_u01_at(prefix, id_a, id_b, tick).tobytes() == want.tobytes()
-    assert rng.keyed_u01_scalar(int(prefix), id_a, id_b, tick) == float(want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -209,6 +244,58 @@ def test_monotone_coupling_on_random_schemes(grid, data):
                           record_holders=True)
     for k, (h1, h2) in enumerate(zip(lo.holder_history, hi.holder_history)):
         assert h1 <= h2, f"tick {k}"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_transfer_table_invariants_hold(grid, data):
+    # debug_ledger checks the table after every tick: no track in two
+    # transfers; senders hold the content and are present; receivers are
+    # present and held nothing before the tick's transfers
+    ctx = data.draw(st.one_of(contexts(grid, "capacity"), crowded_contexts(grid)))
+    schemes, seeds = data.draw(batches(ctx.L, ctx.T))
+    ctx.run_many(schemes, seeds, debug_ledger=True)
+
+
+@pytest.mark.parametrize("corrupt, fault", [
+    (lambda x: x + x, "is in two transfers"),
+    (lambda x: _Transfers(x.run, x.rcv, x.snd, x.ev, x.bits), "sends content it does not hold"),
+])
+def test_transfer_checks_name_the_fault(grid, desk_traj, desk_contacts, capacity_channel,
+                                        monkeypatch, corrupt, fault):
+    ctx = SimContext(grid, desk_traj, desk_contacts, capacity_channel, [150.0, 150.0])
+    scheme = FcScheme(*np.random.default_rng(2).uniform(0, 1, (3, grid.num_links, 2)))
+    real = SimContext._step_capacity
+
+    def broken(self, *args):
+        gained, xfer = real(self, *args)
+        return gained, corrupt(xfer) if len(xfer) else xfer
+
+    monkeypatch.setattr(SimContext, "_step_capacity", broken)
+    with pytest.raises(LedgerImbalanceError, match=f"run 1: track [0-9]+ {fault}"):
+        ctx.run_many([all_zero(grid.num_links, 2), scheme], [1, 4], debug_ledger=True)
+
+
+def test_transfer_rates_are_scalar_rates(grid, desk_traj, desk_contacts, capacity_channel,
+                                         monkeypatch):
+    # NumPy's vectorised power and log2 can differ from the scalar ones in
+    # the last bit, so every rate a transfer uses must be the scalar _rate
+    ctx = SimContext(grid, desk_traj, desk_contacts, capacity_channel, [150.0, 150.0])
+    used = []
+    real = SimContext._tick_bits
+
+    def spy(self, events, k):
+        bits = real(self, events, k)
+        used.extend(zip(events.tolist(), [k] * len(events), bits.tolist()))
+        return bits
+
+    monkeypatch.setattr(SimContext, "_tick_bits", spy)
+    gen = np.random.default_rng(6)
+    L = grid.num_links
+    ctx.run_many([FcScheme(*gen.uniform(0, 1, (3, L, 2))) for _ in range(4)], [1, 2, 3, 4])
+    assert len({(e, k) for e, k, _ in used}) > 1000
+    for e, k, bits in used:
+        assert bits == _rate(capacity_channel, ctx.dist_of(e, k)) * ctx.tick, (e, k)
 
 
 def test_ledger_imbalance_names_the_run(grid, desk_traj, desk_contacts, instant_channel,
