@@ -17,7 +17,7 @@ from .scheme import (
     scheme_cost, scheme_from_csv, scheme_to_csv,
 )
 from .dataset import (
-    CommFeatures, Normalizer, TrainingPair, apply_normalizer, build_dataset,
+    CommFeatures, Normalizer, TrainingPair, build_dataset,
     feasibility_labels, fit_normalizer, gen_random_schemes, load_dataset,
     save_dataset,
 )

@@ -15,18 +15,20 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import (build_dataset, feasibility_labels, fit_normalizer,
+from .dataset import (Normalizer, build_dataset, feasibility_labels, fit_normalizer,
                       gen_random_schemes, load_dataset, save_dataset)
 from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, safe_ratio
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
 from .learn.surrogate import SurrogateHyper, load_model, save_model, train_surrogate
-from .mobility import (SpeedModel, detect_contacts, load_traces, mobility_features,
-                       simulate_manhattan, KMH)
+from .mobility import (IntervalRangeError, SpeedModel, detect_contacts, interval_ticks,
+                       load_traces, mobility_features, simulate_manhattan, KMH)
 from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
                    circular_az_baseline, full_infrastructure_baseline)
 from .rng import derive_seed
@@ -162,15 +164,25 @@ def validate_config(cfg: dict) -> None:
     check(cfg["seeding_mode"] in ("exact", "floor"),
           f"seeding_mode {cfg['seeding_mode']!r} unknown")
 
-    for name in ("intervals", ("request", "intervals")):
-        node = cfg[name] if isinstance(name, str) else cfg[name[0]][name[1]]
-        label = name if isinstance(name, str) else ".".join(name)
+    for label, node in (("intervals", cfg["intervals"]),
+                        ("request.intervals", cfg["request"]["intervals"])):
+        n_bad = len(bad)
         if "durations_s" in node:
             check(all(d > 0 for d in node["durations_s"]),
                   f"{label}.durations_s must all be positive")
         else:
             check(node.get("count", 0) >= 1, f"{label}.count must be >= 1")
             check(node.get("duration_s", 0) > 0, f"{label}.duration_s must be positive")
+        if len(bad) > n_bad or cfg["tick_s"] <= 0:
+            continue
+        d_t = _durations(node)
+        try:
+            interval_ticks(d_t, cfg["tick_s"])
+        except ValueError:
+            bad.append(f"{label} durations must be whole multiples of tick_s")
+        if mob["kind"] == "synthetic":
+            check(sum(d_t) <= mob["duration_s"] + 1e-9,
+                  f"{label} cover {sum(d_t)} s, more than mobility.duration_s")
 
     cost = cfg["cost"]
     check(cost["beta"] >= 0 and cost["delta"] >= 0, "cost.beta and cost.delta must be >= 0")
@@ -203,6 +215,15 @@ def validate_config(cfg: dict) -> None:
     check(cfg["evaluate"]["seeds"] >= 1, "evaluate.seeds must be >= 1")
     check(0 < cfg["split"]["test_fraction"] < 1, "split.test_fraction must be in (0, 1)")
 
+    # these sections are passed to their dataclasses by field name
+    takes = {"channel": {f.name for f in fields(ChannelModel)} - {"content_bits"},
+             "model": {f.name for f in fields(SurrogateHyper)} - {"seed"}
+             | {"raster_h", "raster_w"},
+             "planner": {f.name for f in fields(PlannerOptions)}}
+    for section, names in takes.items():
+        bad.extend(f"{section}.{key} is not a setting"
+                   for key in sorted(set(cfg[section]) - names))
+
     if bad:
         raise ConfigError(bad)
 
@@ -221,25 +242,11 @@ def _content_bits(cfg: dict) -> float:
     return cfg["content_mb"] * (2 ** 20) * 8.0
 
 
-def _channel(cfg: dict) -> ChannelModel:
-    ch = cfg["channel"]
-    return ChannelModel(bandwidth_hz=ch["bandwidth_hz"], edge_sinr_db=ch["edge_sinr_db"],
-                        path_loss_exp=ch["path_loss_exp"], radius_m=ch["radius_m"],
-                        mode=ch["mode"], sinr_cap_db=ch["sinr_cap_db"],
-                        content_bits=_content_bits(cfg))
-
-
 def _speed_model(cfg: dict) -> SpeedModel:
     sp = cfg["mobility"]["speed"]
     if sp["kind"] == "constant":
         return SpeedModel.constant(sp["kmh"] * KMH)
     return SpeedModel.uniform(sp["low_kmh"] * KMH, sp["high_kmh"] * KMH)
-
-
-def _weights(cfg: dict, d_t) -> CostWeights:
-    c = cfg["cost"]
-    return CostWeights(d_t=np.asarray(d_t, dtype=float), content_bits=_content_bits(cfg),
-                       beta=c["beta"], delta=c["delta"], theta=c["theta"])
 
 
 def _zoi(cfg: dict, grid) -> tuple[int, ...]:
@@ -252,11 +259,6 @@ def _zoi(cfg: dict, grid) -> tuple[int, ...]:
     return tuple(sorted(set(req["zoi"])))
 
 
-def _request(cfg: dict, grid) -> ServiceRequest:
-    return ServiceRequest(zoi=_zoi(cfg, grid), alpha0=cfg["request"]["alpha0"],
-                          d_t=_durations(cfg["request"]["intervals"]))
-
-
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
@@ -265,22 +267,10 @@ def config_hash(cfg: dict) -> str:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _require(out: Path, rel: str, producer: str) -> Path:
-    p = out / rel
-    if not p.exists():
-        raise DependencyError(f"missing artifact {rel}; run the `{producer}` "
-                              f"subcommand first")
-    return p
-
-
 def _write_manifest(out: Path, cfg: dict) -> None:
     manifest = {"config_sha256": config_hash(cfg), "seed": cfg["seed"],
                 "tool": "floatsim"}
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def _load_grid(out: Path):
-    return grid_from_json(_require(out, "grid.json", "grid").read_text())
 
 
 def _write_trace_csv(path: Path, traj) -> None:
@@ -292,9 +282,58 @@ def _write_trace_csv(path: Path, traj) -> None:
                          f"{float(tr.pos[row, 1])!r},{float(tr.speed[row])!r}\n")
 
 
-def _load_trace(out: Path, cfg: dict, grid):
-    path = _require(out, "trace.csv", "mobility")
-    return load_traces(path, grid, tick=cfg["tick_s"])
+class Run:
+    """One invocation's view of a run directory.
+
+    Each upstream artifact is read, and each object derived from it is built,
+    once, on first use; `pipeline` hands one Run to every step.  A step reads
+    a property only after the step that writes its artifact has run, so every
+    step sees the trajectory parsed from `trace.csv`, as a separate invocation
+    would.  `verifier` holds no per-run state, so the steps share it."""
+
+    def __init__(self, cfg: dict, out: Path, args):
+        self.cfg, self.out, self.args = cfg, out, args
+
+    def require(self, rel: str, producer: str) -> Path:
+        p = self.out / rel
+        if not p.exists():
+            raise DependencyError(f"missing artifact {rel}; run the `{producer}` "
+                                  f"subcommand first")
+        return p
+
+    @cached_property
+    def grid(self):
+        return grid_from_json(self.require("grid.json", "grid").read_text())
+
+    @cached_property
+    def traj(self):
+        return load_traces(self.require("trace.csv", "mobility"), self.grid,
+                           tick=self.cfg["tick_s"])
+
+    @cached_property
+    def contacts(self):
+        return detect_contacts(self.traj, self.channel.radius_m)
+
+    @cached_property
+    def channel(self) -> ChannelModel:
+        return ChannelModel(**self.cfg["channel"], content_bits=_content_bits(self.cfg))
+
+    @cached_property
+    def request(self) -> ServiceRequest:
+        return ServiceRequest(zoi=_zoi(self.cfg, self.grid),
+                              alpha0=self.cfg["request"]["alpha0"],
+                              d_t=_durations(self.cfg["request"]["intervals"]))
+
+    @cached_property
+    def weights(self) -> CostWeights:
+        c = self.cfg["cost"]
+        return CostWeights(d_t=self.request.d_t, content_bits=_content_bits(self.cfg),
+                           beta=c["beta"], delta=c["delta"], theta=c["theta"])
+
+    @cached_property
+    def verifier(self) -> SimContext:
+        return SimContext(self.grid, self.traj, self.contacts, self.channel,
+                          self.request.d_t, seeding_mode=self.cfg["seeding_mode"])
 
 
 class run_lock:
@@ -371,18 +410,18 @@ class run_lock:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def cmd_grid(cfg: dict, out: Path, args) -> None:
-    g = cfg["grid"]
+def cmd_grid(run: Run) -> None:
+    g = run.cfg["grid"]
     if g["kind"] == "manhattan":
         grid = build_manhattan(g["rows"], g["cols"], g["block_side_m"])
     else:
         grid = grid_from_json(Path(g["path"]).read_text())
-    (out / "grid.json").write_text(grid_to_json(grid))
+    (run.out / "grid.json").write_text(grid_to_json(grid))
     print(f"grid: {grid.num_links} links, {len(grid.intersections)} intersections")
 
 
-def cmd_mobility(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
+def cmd_mobility(run: Run) -> None:
+    cfg, grid = run.cfg, run.grid
     mob = cfg["mobility"]
     if mob["kind"] == "synthetic":
         traj = simulate_manhattan(grid, mob["arrival_rate"], _speed_model(cfg),
@@ -390,23 +429,20 @@ def cmd_mobility(cfg: dict, out: Path, args) -> None:
                                   tick=cfg["tick_s"], warmup_s=mob["warmup_s"])
     else:
         traj = load_traces(mob["trace_path"], grid, tick=cfg["tick_s"])
-    _write_trace_csv(out / "trace.csv", traj)
+    _write_trace_csv(run.out / "trace.csv", traj)
     samples = int(sum(len(tr.pos) for tr in traj.tracks))
     stats = {"tracks": traj.num_tracks, "ticks": traj.horizon,
              "samples": samples, "dropped_samples": traj.dropped_samples,
              "mean_concurrent": samples / max(traj.horizon, 1)}
-    (out / "trace_stats.json").write_text(json.dumps(stats, sort_keys=True, indent=1))
+    (run.out / "trace_stats.json").write_text(json.dumps(stats, sort_keys=True, indent=1))
     print(f"mobility: {traj.num_tracks} tracks over {traj.horizon} ticks "
           f"(~{stats['mean_concurrent']:.1f} concurrent)")
 
 
-def cmd_features(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    traj = _load_trace(out, cfg, grid)
-    contacts = detect_contacts(traj, cfg["channel"]["radius_m"])
-    d_t = _durations(cfg["intervals"])
-    m = mobility_features(traj, contacts, grid, d_t)
-    with open(out / "features.csv", "w") as fh:
+def cmd_features(run: Run) -> None:
+    m = mobility_features(run.traj, run.contacts, run.grid,
+                          _durations(run.cfg["intervals"]))
+    with open(run.out / "features.csv", "w") as fh:
         fh.write("link_id,t,n,lambda,tau,nu,empty\n")
         for l in range(m.shape[0]):
             for t in range(m.shape[1]):
@@ -416,48 +452,43 @@ def cmd_features(cfg: dict, out: Path, args) -> None:
     print(f"features: {m.shape[0]} links x {m.shape[1]} intervals")
 
 
-def cmd_dataset(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    traj = _load_trace(out, cfg, grid)
-    channel = _channel(cfg)
-    contacts = detect_contacts(traj, channel.radius_m)
+def cmd_dataset(run: Run) -> None:
+    cfg, grid = run.cfg, run.grid
     d_t = _durations(cfg["intervals"])
     embedding = raster_embed(grid, cfg["model"]["raster_h"], cfg["model"]["raster_w"])
     schemes = gen_random_schemes(cfg["dataset"]["num_schemes"], grid.num_links,
                                  len(d_t), seed=derive_seed(cfg["seed"], 2),
                                  style=cfg["dataset"]["style"], embedding=embedding)
-    pairs = build_dataset(traj, grid, d_t, schemes, channel,
-                          seed=derive_seed(cfg["seed"], 3), contacts=contacts,
+    pairs = build_dataset(run.traj, grid, d_t, schemes, run.channel,
+                          seed=derive_seed(cfg["seed"], 3), contacts=run.contacts,
                           seeding_mode=cfg["seeding_mode"])
     normalizer = fit_normalizer(pairs)
-    save_dataset(out / "dataset", pairs, grid, channel, d_t, cfg["tick_s"], normalizer)
+    save_dataset(run.out / "dataset", pairs, grid, run.channel, d_t, cfg["tick_s"],
+                 normalizer)
     rows = len(pairs) * grid.num_links * len(d_t)
     print(f"dataset: {len(pairs)} pairs, {rows} feature rows")
 
 
-def cmd_train(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    _require(out, "dataset/pairs.csv", "dataset")
-    pairs, manifest = load_dataset(out / "dataset")
-    from .dataset import Normalizer
+def cmd_train(run: Run) -> None:
+    cfg, grid = run.cfg, run.grid
+    run.require("dataset/pairs.csv", "dataset")
+    pairs, manifest = load_dataset(run.out / "dataset")
     normalizer = (Normalizer.from_dict(manifest["normalizer"])
                   if manifest.get("normalizer") else fit_normalizer(pairs))
     embedding = raster_embed(grid, cfg["model"]["raster_h"], cfg["model"]["raster_w"])
     mdl = cfg["model"]
-    hyper = SurrogateHyper(conv_channels=mdl["conv_channels"], kernel=mdl["kernel"],
-                           blocks=mdl["blocks"], learning_rate=mdl["learning_rate"],
-                           epochs=mdl["epochs"], batch=mdl["batch"],
-                           momentum=mdl["momentum"], folds=mdl["folds"],
-                           patience=mdl["patience"], seed=derive_seed(cfg["seed"], 4))
+    hyper = SurrogateHyper(**{k: v for k, v in mdl.items()
+                              if k not in ("raster_h", "raster_w")},
+                           seed=derive_seed(cfg["seed"], 4))
     result = train_surrogate(pairs, embedding, normalizer, hyper)
-    save_model(result.model, out / "model.bin")
-    with open(out / "metrics.csv", "w") as fh:
+    save_model(result.model, run.out / "model.bin")
+    with open(run.out / "metrics.csv", "w") as fh:
         fh.write("fold,train_mse,val_mse\n")
         for f, (tr, va) in enumerate(result.fold_losses):
             fh.write(f"{f},{tr!r},{va!r}\n")
 
     # feasibility classification: surrogate versus classical baselines
-    req = _request(cfg, grid)
+    req = run.request
     labels = feasibility_labels(pairs, req.zoi, req.alpha0)
     rows = flatten_pair_rows(pairs, normalizer)
     rng = np.random.default_rng(derive_seed(cfg["seed"], 5))
@@ -487,7 +518,7 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
         pred_rows.append((ratio >= req.alpha0) & ~np.isnan(ratio))
     pred = np.concatenate(pred_rows)
     scores["surrogate"] = f_score(pred[test_idx], y[test_idx] > 0)
-    with open(out / "fscores.csv", "w") as fh:
+    with open(run.out / "fscores.csv", "w") as fh:
         fh.write("method,f_score\n")
         for name in sorted(scores):
             fh.write(f"{name},{scores[name]!r}\n")
@@ -495,34 +526,17 @@ def cmd_train(cfg: dict, out: Path, args) -> None:
           f"final_val={result.final_val_loss:.4f} params={result.model.param_count}")
 
 
-def _verifier(cfg: dict, out: Path, grid, d_t) -> SimContext:
-    traj = _load_trace(out, cfg, grid)
-    channel = _channel(cfg)
-    contacts = detect_contacts(traj, channel.radius_m)
-    return SimContext(grid, traj, contacts, channel, d_t,
-                      seeding_mode=cfg["seeding_mode"])
-
-
-def cmd_bootstrap(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    model = load_model(_require(out, "model.bin", "train"))
-    req = _request(cfg, grid)
-    verifier = _verifier(cfg, out, grid, req.d_t)
+def cmd_bootstrap(run: Run) -> None:
+    model = load_model(run.require("model.bin", "train"))
+    req = run.request
     # perfect forecast: the measured mobility features of the request horizon
-    forecast = mobility_features(verifier.traj, verifier.contacts, grid, req.d_t)
-    w = _weights(cfg, req.d_t)
-    pl = cfg["planner"]
-    opts = PlannerOptions(n_candidates=pl["n_candidates"], margin=pl["margin"],
-                          verify_top_k=pl["verify_top_k"],
-                          verify_band_k=pl["verify_band_k"],
-                          band_margin=pl["band_margin"],
-                          verify_struct_k=pl["verify_struct_k"],
-                          verify_seeds=pl["verify_seeds"],
-                          perturb_sigma=pl["perturb_sigma"], n_perturb=pl["n_perturb"],
-                          az_radii=tuple(pl["az_radii"]) if pl["az_radii"] else None)
-    result = bootstrap(model, forecast, req, w, opts, verifier,
-                       seed=derive_seed(cfg["seed"], 7))
-    (out / "plan.csv").write_text(scheme_to_csv(result.scheme))
+    forecast = mobility_features(run.traj, run.contacts, run.grid, req.d_t)
+    pl = run.cfg["planner"]
+    radii = pl["az_radii"]
+    opts = PlannerOptions(**{**pl, "az_radii": tuple(radii) if radii else None})
+    result = bootstrap(model, forecast, req, run.weights, opts, run.verifier,
+                       seed=derive_seed(run.cfg["seed"], 7))
+    (run.out / "plan.csv").write_text(scheme_to_csv(result.scheme))
     summary = {"predicted_cost": result.predicted_cost,
                "verified_cost": result.verified_cost,
                "alpha": [float(a) for a in result.alpha],
@@ -532,21 +546,18 @@ def cmd_bootstrap(cfg: dict, out: Path, args) -> None:
                               "verified": result.verified},
                "zoi": list(req.zoi),
                "timings": {"wall_clock_s": result.wall_clock_s}}
-    (out / "plan.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+    (run.out / "plan.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     print(f"bootstrap: verified cost {result.verified_cost:.3e} "
           f"fallback={result.fallback} ({result.wall_clock_s:.2f}s)")
 
 
-def cmd_evaluate(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    scheme = scheme_from_csv(_require(out, "plan.csv", "bootstrap").read_text())
-    req = _request(cfg, grid)
-    verifier = _verifier(cfg, out, grid, req.d_t)
-    w = _weights(cfg, req.d_t)
-    n_seeds = cfg["evaluate"]["seeds"]
-    run_seeds = [derive_seed(cfg["seed"], 8, si) for si in range(n_seeds)]
-    outcomes = verifier.run_many([scheme] * n_seeds, run_seeds, zoi=req.zoi)
-    costs = [scheme_cost(outcome, scheme, w) for outcome in outcomes]
+def cmd_evaluate(run: Run) -> None:
+    out, req = run.out, run.request
+    scheme = scheme_from_csv(run.require("plan.csv", "bootstrap").read_text())
+    n_seeds = run.cfg["evaluate"]["seeds"]
+    run_seeds = [derive_seed(run.cfg["seed"], 8, si) for si in range(n_seeds)]
+    outcomes = run.verifier.run_many([scheme] * n_seeds, run_seeds, zoi=req.zoi)
+    costs = [scheme_cost(outcome, scheme, run.weights) for outcome in outcomes]
     feasibles = [is_feasible(outcome, req) for outcome in outcomes]
     with open(out / "alpha_samples.csv", "w") as fh:
         fh.write("seed,t,alpha\n")
@@ -629,12 +640,11 @@ def _box_stats(samples: np.ndarray) -> dict:
             "outliers": outliers}
 
 
-def cmd_report(cfg: dict, out: Path, args) -> None:
-    grid = _load_grid(out)
-    scheme = scheme_from_csv(_require(out, "plan.csv", "bootstrap").read_text())
-    _require(out, "alpha_samples.csv", "evaluate")
-    verdict = json.loads(_require(out, "verdict.json", "evaluate").read_text())
-    req = _request(cfg, grid)
+def cmd_report(run: Run) -> None:
+    cfg, out, grid, req = run.cfg, run.out, run.grid, run.request
+    scheme = scheme_from_csv(run.require("plan.csv", "bootstrap").read_text())
+    run.require("alpha_samples.csv", "evaluate")
+    verdict = json.loads(run.require("verdict.json", "evaluate").read_text())
     report = out / "report"
     report.mkdir(exist_ok=True)
 
@@ -650,7 +660,7 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
                      f"{st['max']!r},{st['iqr']!r},{st['lo_fence']!r},"
                      f"{st['hi_fence']!r},{outl}\n")
 
-    deterministic = bool(getattr(args, "deterministic_svg", False))
+    deterministic = bool(getattr(run.args, "deterministic_svg", False))
     for t in range(scheme.T):
         (report / f"replication_t{t + 1}.svg").write_text(strategy_svg(
             grid, scheme.a[:, t], f"replication a, interval {t + 1}", req.zoi,
@@ -661,8 +671,7 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
 
     # cost comparison against the reference strategies, paired with the plan
     # on its first evaluate seeds
-    verifier = _verifier(cfg, out, grid, req.d_t)
-    w = _weights(cfg, req.d_t)
+    verifier, w = run.verifier, run.weights
     n_paired = min(REPORT_SEEDS, len(verdict["cost_per_seed"]))
     seeds = [derive_seed(cfg["seed"], 8, i) for i in range(n_paired)]
 
@@ -690,10 +699,10 @@ def cmd_report(cfg: dict, out: Path, args) -> None:
           f"({100 * (1 - plan_cost / allon_cost):.1f}% saved)")
 
 
-def cmd_pipeline(cfg: dict, out: Path, args) -> None:
+def cmd_pipeline(run: Run) -> None:
     for step in (cmd_grid, cmd_mobility, cmd_features, cmd_dataset, cmd_train,
                  cmd_bootstrap, cmd_evaluate, cmd_report):
-        step(cfg, out, args)
+        step(run)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +734,7 @@ def main(argv=None) -> int:
     try:
         with run_lock(out):
             _write_manifest(out, cfg)
-            handler(cfg, out, args)
+            handler(Run(cfg, out, args))
     except DependencyError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DEPENDENCY
@@ -735,6 +744,9 @@ def main(argv=None) -> int:
     except ProblemInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except IntervalRangeError as exc:       # a trace's horizon is known once parsed
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

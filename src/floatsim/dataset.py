@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,14 +120,6 @@ def fit_normalizer(pairs: list[TrainingPair], split=None) -> Normalizer:
     return Normalizer(FEATURE_CHANNELS, mean, scale)
 
 
-def apply_normalizer(norm: Normalizer, features: dict) -> dict:
-    """Normalize a {channel: array} mapping; unknown channels pass through."""
-    out = {}
-    for name, values in features.items():
-        out[name] = norm.transform(name, values) if name in norm.names else values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # random strategies
 # ---------------------------------------------------------------------------
@@ -210,13 +202,7 @@ def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
     manifest = {
         "schema": "pairs-v1",
         "grid_sha256": hashlib.sha256(grid_to_json(grid).encode()).hexdigest(),
-        "channel": {"bandwidth_hz": channel.bandwidth_hz,
-                    "edge_sinr_db": channel.edge_sinr_db,
-                    "path_loss_exp": channel.path_loss_exp,
-                    "radius_m": channel.radius_m,
-                    "mode": channel.mode,
-                    "sinr_cap_db": channel.sinr_cap_db,
-                    "content_bits": channel.content_bits},
+        "channel": asdict(channel),
         "d_t": list(np.asarray(d_t, dtype=float)),
         "tick": tick,
         "count": len(pairs),

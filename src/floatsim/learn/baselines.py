@@ -205,7 +205,3 @@ def train_baseline(kind: str, rows: np.ndarray, labels: np.ndarray, **params):
     else:
         raise BaselineParameterError(f"unknown baseline kind {kind!r}")
     return model.fit(np.asarray(rows, dtype=float), np.asarray(labels, dtype=np.int64))
-
-
-def baseline_predict(model, rows: np.ndarray) -> np.ndarray:
-    return model.predict(rows)

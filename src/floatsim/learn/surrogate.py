@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,10 +148,6 @@ class SurrogateModel:
         g_ratio = np.stack([self.embedding.unrasterize(out[t, :, :, 1])
                             for t in range(T)], axis=1)
         return CommFeatures(n_c=nc_ratio * m.n, gamma=(g_ratio * m.n)[:, :, None])
-
-
-def predict(model: SurrogateModel, m: MobilityFeatures, scheme: FcScheme) -> CommFeatures:
-    return model.predict(m, scheme)
 
 
 def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
@@ -290,14 +286,9 @@ def mean_baseline_mse(train_y: np.ndarray, test_y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def save_model(model: SurrogateModel, path) -> None:
-    h = model.hyper
     header = {
         "format": "surrogate-v1",
-        "hyper": {"conv_channels": h.conv_channels, "kernel": h.kernel,
-                  "blocks": h.blocks, "seed": h.seed,
-                  "learning_rate": h.learning_rate, "epochs": h.epochs,
-                  "batch": h.batch, "momentum": h.momentum,
-                  "folds": h.folds, "patience": h.patience},
+        "hyper": asdict(model.hyper),
         "embedding": {"H": model.embedding.H, "W": model.embedding.W,
                       "rows": model.embedding.rows.tolist(),
                       "cols": model.embedding.cols.tolist(),

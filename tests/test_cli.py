@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from floatsim import cli
 from floatsim.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_INFEASIBLE, EXIT_OK,
                           ConfigError, RunLockedError, load_config, main, run_lock,
                           strategy_svg)
+from floatsim.fcsim import SimContext
 from floatsim.roadnet import build_manhattan, grid_from_json
 from floatsim.scheme import all_on, scheme_to_csv
 
@@ -63,7 +65,9 @@ def test_invalid_config_lists_every_violation(tmp_path):
     path = write_config(tmp_path, {
         "mobility": {"arrival_rate": -1.0},
         "request": {"alpha0": 1.5},
-        "channel": {"mode": "warp"},
+        "channel": {"mode": "warp", "tx_power_dbm": 20.0, "content_bits": 1.0},
+        "model": {"lr": 0.1, "seed": 3},
+        "planner": {"n_candidate": 5},
     })
     with pytest.raises(ConfigError) as err:
         load_config(path)
@@ -71,8 +75,44 @@ def test_invalid_config_lists_every_violation(tmp_path):
     assert "arrival_rate" in text
     assert "alpha0" in text
     assert "mode" in text
+    # every key that no config object takes is named, set by the program or not
+    for key in ("channel.tx_power_dbm", "channel.content_bits", "model.lr",
+                "model.seed", "planner.n_candidate"):
+        assert key in text
     assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"intervals": {"count": 3, "duration_s": 120.0}},
+     "intervals cover 360.0 s, more than mobility.duration_s"),
+    ({"request": {"intervals": {"count": 2, "duration_s": 150.0}}},
+     "request.intervals cover 300.0 s"),
+    ({"intervals": {"count": 2, "duration_s": 100.5}},
+     "intervals durations must be whole multiples of tick_s"),
+    ({"tick_s": 7.0}, "request.intervals durations must be whole multiples of tick_s"),
+])
+def test_interval_partition_is_validated(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, overrides)
+    assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_partition_beyond_trace_horizon_is_a_config_error(tmp_path, capsys):
+    # a trace's horizon is known only once it is parsed
+    src = tmp_path / "src"
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", str(write_config(tmp_path)),
+                     "--out", str(src)]) == EXIT_OK
+    path = write_config(tmp_path, {
+        "mobility": {"kind": "trace", "trace_path": str(src / "trace.csv")},
+        "intervals": {"count": 3, "duration_s": 120.0}})
+    out = str(tmp_path / "run")
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", str(path), "--out", out]) == EXIT_OK
+    assert main(["features", "--config", str(path), "--out", out]) == EXIT_CONFIG
+    assert "interval partition covers 360 ticks" in capsys.readouterr().err
 
 
 def test_missing_artifact_names_producer(tmp_path, capsys):
@@ -152,6 +192,45 @@ def test_pipeline_is_byte_deterministic(tmp_path):
         a = (out1 / rel).read_bytes()
         b = (out2 / rel).read_bytes()
         assert a == b, f"artifact {rel} differs between identical runs"
+
+
+def test_pipeline_derives_each_artifact_once(tmp_path, monkeypatch):
+    calls = {"load_traces": 0, "detect_contacts": 0, "SimContext": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_traces", "detect_contacts"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(SimContext, "__init__", counted("SimContext", SimContext.__init__))
+    path = write_config(tmp_path)
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--deterministic-svg"]) == EXIT_OK
+    # one trajectory and one contact table; one engine for the dataset's
+    # intervals and one for the request's, shared by bootstrap, evaluate, report
+    assert calls == {"load_traces": 1, "detect_contacts": 1, "SimContext": 2}
+
+
+def test_separate_steps_match_pipeline(tmp_path):
+    path = write_config(tmp_path)
+    steps, piped = tmp_path / "steps", tmp_path / "piped"
+    for step in ("grid", "mobility", "features", "dataset", "train", "bootstrap",
+                 "evaluate", "report"):
+        assert main([step, "--config", str(path), "--out", str(steps),
+                     "--deterministic-svg"]) == EXIT_OK
+    assert main(["pipeline", "--config", str(path), "--out", str(piped),
+                 "--deterministic-svg"]) == EXIT_OK
+    files = sorted(p.relative_to(steps) for p in steps.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(piped) for p in piped.rglob("*") if p.is_file())
+    for rel in files:
+        a, b = (steps / rel).read_bytes(), (piped / rel).read_bytes()
+        if rel == Path("plan.json"):    # carries wall-clock timings by design
+            a, b = json.loads(a), json.loads(b)
+            a.pop("timings"), b.pop("timings")
+        assert a == b, f"{rel} differs between separate steps and one pipeline"
 
 
 def test_seed_override_changes_artifacts(tmp_path):

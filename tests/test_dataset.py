@@ -4,7 +4,7 @@ import pytest
 from floatsim import (ChannelModel, FcScheme, all_on, all_zero, build_dataset,
                       detect_contacts, fit_normalizer, gen_random_schemes,
                       load_dataset, raster_embed, run_fc, save_dataset)
-from floatsim.dataset import apply_normalizer, feasibility_labels
+from floatsim.dataset import feasibility_labels
 from conftest import make_traj
 
 
@@ -124,15 +124,6 @@ def test_normalizer_matches_two_pass_oracle(small_pairs):
     i = norm.names.index("n")
     assert norm.mean[i] == pytest.approx(mean, rel=1e-9)
     assert norm.scale[i] == pytest.approx(np.sqrt(var), rel=1e-9)
-
-
-def test_apply_normalizer_mapping(small_pairs):
-    pairs, _, _ = small_pairs
-    norm = fit_normalizer(pairs)
-    feats = {"n": pairs[0].m.n, "custom": np.ones(3)}
-    out = apply_normalizer(norm, feats)
-    np.testing.assert_allclose(out["n"], norm.transform("n", pairs[0].m.n))
-    np.testing.assert_allclose(out["custom"], np.ones(3))
 
 
 def test_dataset_persistence_roundtrip(tmp_path, grid, small_pairs):

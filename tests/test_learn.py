@@ -6,7 +6,7 @@ from floatsim import (ChannelModel, FcScheme, build_dataset, fit_normalizer,
                       SpeedModel, KMH)
 from floatsim.learn import (DecisionTreeClassifier, KNNClassifier,
                             RandomForestClassifier, SurrogateHyper, SurrogateModel,
-                            baseline_predict, check_layer, f_score, flatten_pair_rows,
+                            check_layer, f_score, flatten_pair_rows,
                             load_model, make_examples, mean_baseline_mse,
                             rejection_probability, save_model, train_baseline,
                             train_surrogate)
@@ -213,7 +213,7 @@ def _toy_rows(n=60, seed=3):
 def test_knn_k1_recalls_training_labels():
     x, y = _toy_rows()
     model = train_baseline("knn", x, y, k=1)
-    assert np.array_equal(baseline_predict(model, x), y)
+    assert np.array_equal(model.predict(x), y)
 
 
 def test_knn_k_exceeding_samples_rejected():
@@ -226,7 +226,7 @@ def test_single_leaf_tree_is_majority_vote():
     x, y = _toy_rows()
     model = train_baseline("tree", x, y, max_depth=0)
     expected = int(np.bincount(y).argmax())
-    assert np.all(baseline_predict(model, x) == expected)
+    assert np.all(model.predict(x) == expected)
 
 
 def test_tree_learns_separable_data():
