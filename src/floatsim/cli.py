@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import cached_property
 from pathlib import Path
 

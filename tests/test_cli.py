@@ -101,10 +101,9 @@ def test_interval_partition_is_validated(tmp_path, capsys, overrides, message):
 
 def test_partition_beyond_trace_horizon_is_a_config_error(tmp_path, capsys):
     # a trace's horizon is known only once it is parsed
-    src = tmp_path / "src"
+    src, synthetic = tmp_path / "src", str(write_config(tmp_path))
     for step in ("grid", "mobility"):
-        assert main([step, "--config", str(write_config(tmp_path)),
-                     "--out", str(src)]) == EXIT_OK
+        assert main([step, "--config", synthetic, "--out", str(src)]) == EXIT_OK
     path = write_config(tmp_path, {
         "mobility": {"kind": "trace", "trace_path": str(src / "trace.csv")},
         "intervals": {"count": 3, "duration_s": 120.0}})
