@@ -10,7 +10,7 @@ from .mobility import (
 )
 from .fcsim import (
     ChannelModel, SimContext, SimOutcome, capacity, run_fc, safe_ratio, success_ratio,
-    UndefinedRatioError,
+    zoi_alpha, UndefinedRatioError,
 )
 from .scheme import (
     CostWeights, FcScheme, ServiceRequest, all_on, all_zero, is_feasible,

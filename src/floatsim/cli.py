@@ -23,12 +23,13 @@ import numpy as np
 
 from .dataset import (Normalizer, build_dataset, feasibility_labels, fit_normalizer,
                       gen_random_schemes, load_dataset, save_dataset)
-from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, safe_ratio
+from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, zoi_alpha
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
 from .learn.surrogate import SurrogateHyper, load_model, save_model, train_surrogate
-from .mobility import (IntervalRangeError, SpeedModel, detect_contacts, interval_ticks,
-                       load_traces, mobility_features, simulate_manhattan, KMH)
+from .mobility import (EmptyTraceError, IntervalRangeError, SpeedModel, TraceParseError,
+                       detect_contacts, interval_ticks, load_traces, mobility_features,
+                       simulate_manhattan, KMH)
 from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
                    circular_az_baseline, full_infrastructure_baseline)
 from .rng import derive_seed
@@ -274,12 +275,16 @@ def _write_manifest(out: Path, cfg: dict) -> None:
 
 
 def _write_trace_csv(path: Path, traj) -> None:
+    track, tick = traj.sample_index()
+    block = 1 << 16                 # rows turned into Python lists at a time
     with open(path, "w") as fh:
         fh.write("t,node_id,x,y,speed\n")
-        for track_id, tr in enumerate(traj.tracks):
-            for row, k in enumerate(tr.ticks()):
-                fh.write(f"{float(k * traj.tick)!r},{track_id},{float(tr.pos[row, 0])!r},"
-                         f"{float(tr.pos[row, 1])!r},{float(tr.speed[row])!r}\n")
+        for lo in range(0, len(tick), block):
+            rows = slice(lo, lo + block)
+            for track_id, k, (x, y), v in zip(track[rows].tolist(), tick[rows].tolist(),
+                                             traj.pos[rows].tolist(),
+                                             traj.speed[rows].tolist()):
+                fh.write(f"{float(k * traj.tick)!r},{track_id},{x!r},{y!r},{v!r}\n")
 
 
 class Run:
@@ -429,8 +434,11 @@ def cmd_mobility(run: Run) -> None:
                                   tick=cfg["tick_s"], warmup_s=mob["warmup_s"])
     else:
         traj = load_traces(mob["trace_path"], grid, tick=cfg["tick_s"])
+    if not traj.num_tracks:
+        raise EmptyTraceError(f"mobility yields no track on the grid over {traj.horizon} "
+                              f"ticks; trace.csv not written")
     _write_trace_csv(run.out / "trace.csv", traj)
-    samples = int(sum(len(tr.pos) for tr in traj.tracks))
+    samples = len(traj.link)
     stats = {"tracks": traj.num_tracks, "ticks": traj.horizon,
              "samples": samples, "dropped_samples": traj.dropped_samples,
              "mean_concurrent": samples / max(traj.horizon, 1)}
@@ -508,15 +516,8 @@ def cmd_train(run: Run) -> None:
             model_b = train_baseline(kind, rows[train_idx], y[train_idx], **params)
             scores[name] = f_score(model_b.predict(rows[test_idx]) > 0, y[test_idx] > 0)
     # surrogate prediction -> predicted feasibility per (pair, interval)
-    T = pairs[0].m.shape[1]
-    pred_rows = []
-    for p in pairs:
-        c = result.model.predict(p.m, p.scheme)
-        z = np.asarray(req.zoi, dtype=np.int64)
-        denom = p.m.n[z, :].sum(axis=0)
-        ratio = safe_ratio(c.n_c[z, :].sum(axis=0), denom, np.nan)
-        pred_rows.append((ratio >= req.alpha0) & ~np.isnan(ratio))
-    pred = np.concatenate(pred_rows)
+    pred = np.concatenate([zoi_alpha(result.model.predict(p.m, p.scheme).n_c, p.m.n, req.zoi)
+                           >= req.alpha0 for p in pairs])
     scores["surrogate"] = f_score(pred[test_idx], y[test_idx] > 0)
     with open(run.out / "fscores.csv", "w") as fh:
         fh.write("method,f_score\n")
@@ -744,7 +745,8 @@ def main(argv=None) -> int:
     except ProblemInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except IntervalRangeError as exc:       # a trace's horizon is known once parsed
+    except (IntervalRangeError, TraceParseError, EmptyTraceError) as exc:
+        # faults of the configured mobility, found once it is read or built
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

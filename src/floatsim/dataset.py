@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import erf
 
-from .fcsim import ChannelModel, SimContext, safe_ratio
+from .fcsim import ChannelModel, SimContext, zoi_alpha
 from .mobility import ContactTable, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
 from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
@@ -269,12 +269,4 @@ def load_dataset(directory) -> tuple[list[TrainingPair], dict]:
 def feasibility_labels(pairs: list[TrainingPair], zoi, alpha0: float) -> np.ndarray:
     """Per-(pair, interval) boolean: does the stored outcome meet alpha0 on
     the ZOI?  Intervals with no ZOI traffic are infeasible."""
-    z = np.asarray(sorted(zoi), dtype=np.int64)
-    labels = []
-    for p in pairs:
-        denom = p.m.n[z, :].sum(axis=0)
-        num = p.c.n_c[z, :].sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = safe_ratio(num, denom, np.nan)
-        labels.append((ratio >= alpha0) & ~np.isnan(ratio))
-    return np.concatenate(labels)
+    return np.concatenate([zoi_alpha(p.c.n_c, p.m.n, zoi) >= alpha0 for p in pairs])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .mobility import (ContactEvent, ContactTable, TrajectorySet, interval_of_tick,
-                       interval_ticks, sample_index)
+                       interval_ticks)
 from .roadnet import RoadGrid
 from .scheme import FcScheme
 
@@ -152,15 +152,22 @@ def safe_ratio(num, den, fill):
     return np.where(den > 0, num / np.maximum(den, 1e-300), fill)
 
 
+def zoi_alpha(n_c, n, zoi) -> np.ndarray:
+    """Success ratio: the ZOI links' content holders over their nodes, from
+    per-link rows of (L, T) or (L,) holder and node counts; per interval,
+    NaN where the ZOI has no nodes."""
+    z = np.asarray(sorted(zoi), dtype=np.int64)
+    return safe_ratio(n_c[z].sum(axis=0), n[z].sum(axis=0), np.nan)
+
+
 def success_ratio(outcome: SimOutcome, zoi, t: int) -> float:
     """Fraction of ZOI nodes holding content during interval t (1-based)."""
-    z = np.asarray(sorted(zoi), dtype=np.int64)
     if t < 1 or t > outcome.shape[1]:
         raise IndexError(f"interval {t} out of range 1..{outcome.shape[1]}")
-    denom = float(outcome.n[z, t - 1].sum())
-    if denom <= 0:
+    alpha = zoi_alpha(outcome.n_c[:, t - 1], outcome.n[:, t - 1], zoi)
+    if np.isnan(alpha):
         raise UndefinedRatioError(f"no nodes in ZOI during interval {t}")
-    return float(outcome.n_c[z, t - 1].sum() / denom)
+    return float(alpha)
 
 
 class SimContext:
@@ -188,12 +195,10 @@ class SimContext:
         self.boundary_of_tick = np.full(self.sim_ticks, -1, dtype=np.int64)
         self.boundary_of_tick[boundaries] = np.arange(self.T)
 
-        self.enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
-        self.exit = np.array([tr.exit_tick for tr in traj.tracks], dtype=np.int64)
-        s_track, s_tick, self.offset = sample_index(traj)
+        self.enter, self.exit, self.offset = traj.enter, traj.exit, traj.first
         self.sample_base = self.offset - self.enter     # track's sample at tick k: base + k
-        self.sample_link = (np.concatenate([tr.link for tr in traj.tracks])
-                            if traj.tracks else np.zeros(0, np.int64))
+        self.sample_link = traj.link
+        s_track, s_tick = traj.sample_index()
 
         # per-tick presence slices over samples sorted by tick
         order = np.argsort(s_tick, kind="stable")
@@ -237,9 +242,6 @@ class SimContext:
     def links_at(self, tracks: np.ndarray, k: int) -> np.ndarray:
         return self.sample_link[self.sample_base[tracks] + k]
 
-    def link_at(self, track: int, k: int) -> int:
-        return int(self.sample_link[self.offset[track] + (k - self.enter[track])])
-
     def present_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.pt_bounds[k], self.pt_bounds[k + 1]
         return self.pt_track[lo:hi], self.pt_link[lo:hi]
@@ -247,9 +249,6 @@ class SimContext:
     def pairs_at(self, k: int) -> np.ndarray:
         lo, hi = self.ct_bounds[k], self.ct_bounds[k + 1]
         return self.ct_event[lo:hi]
-
-    def dist_of(self, event: int, k: int) -> float:
-        return float(self.ev_dist[self.ev_off[event] + (k - self.ev_start[event])])
 
     # ---------------------------------------------------------------------------
     def run(self, scheme: FcScheme, zoi=None, seed: int = 0,
@@ -385,7 +384,6 @@ class SimContext:
                         f"expected {int(expected[r])}")
 
         nt = self.nt.astype(float)
-        z = np.asarray(sorted(zoi), dtype=np.int64) if zoi is not None else None
         outs = []
         for r in range(R):
             out = SimOutcome(
@@ -395,9 +393,8 @@ class SimContext:
                 tick=self.tick, seed=seeds[r],
                 zoi=tuple(sorted(zoi)) if zoi is not None else None,
                 holder_history=history[r] if record_holders else None)
-            if z is not None:
-                out.alpha = safe_ratio(nc_sum[r][z, :].sum(axis=0),
-                                       self.n_sum[z, :].sum(axis=0), np.nan)
+            if zoi is not None:
+                out.alpha = zoi_alpha(nc_sum[r], self.n_sum, zoi)
             outs.append(out)
         return outs
 

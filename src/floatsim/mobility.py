@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +67,44 @@ class NodeTrack:
         return np.arange(self.enter_tick, self.enter_tick + len(self.pos))
 
 
-@dataclass
 class TrajectorySet:
-    tick: float
-    horizon: int                      # number of ticks covered: ticks 0..horizon-1
-    tracks: list[NodeTrack] = field(default_factory=list)
-    dropped_samples: int = 0          # off-grid samples discarded on ingestion
+    """Node tracks over ticks 0..horizon-1, stored as columns.
+
+    The tracks are concatenated once, track by track: track k has the
+    samples first[k]..first[k] + exit[k] - enter[k] of the per-sample
+    columns pos (S, 2), speed and link, at ticks enter[k]..exit[k].
+    `tracks` holds NodeTrack views into those columns, so each sample is
+    stored once; it is a tuple, because a set is built whole.
+    """
+
+    def __init__(self, tick: float, horizon: int, tracks=(), dropped_samples: int = 0):
+        self.tick = tick
+        self.horizon = horizon                    # number of ticks covered: ticks 0..horizon-1
+        self.dropped_samples = dropped_samples    # off-grid samples discarded on ingestion
+        tracks = list(tracks)
+        lens = np.array([len(tr.pos) for tr in tracks], dtype=np.int64)
+        self.enter = np.array([tr.enter_tick for tr in tracks], dtype=np.int64)
+        self.exit = self.enter + lens - 1
+        self.first = np.cumsum(lens) - lens
+        self.pos = np.concatenate([tr.pos for tr in tracks] or [np.zeros((0, 2))], dtype=float)
+        self.speed = np.concatenate([tr.speed for tr in tracks] or [np.zeros(0)], dtype=float)
+        self.link = np.concatenate([tr.link for tr in tracks] or [np.zeros(0, np.int64)],
+                                   dtype=np.int64)
+        self.tracks = tuple(
+            NodeTrack(tr.node, tr.enter_tick, self.pos[a:b], self.speed[a:b], self.link[a:b])
+            for tr, a, b in zip(tracks, self.first.tolist(), (self.first + lens).tolist()))
 
     @property
     def num_tracks(self) -> int:
         return len(self.tracks)
 
-    @property
-    def duration(self) -> float:
-        return self.horizon * self.tick
+    def sample_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The track and the tick of every sample, in column order."""
+        lens = self.exit - self.enter + 1
+        track = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+        tick = np.arange(len(self.link), dtype=np.int64) + np.repeat(self.enter - self.first,
+                                                                     lens)
+        return track, tick
 
 
 @dataclass(eq=False)
@@ -320,7 +344,7 @@ def simulate_manhattan(grid: RoadGrid, arrival_rate: float, speed_model: SpeedMo
                 arrivals.append((t, sid))
     arrivals.sort()
 
-    traj = TrajectorySet(tick=tick, horizon=horizon)
+    tracks = []
     table = _route_table(grid)
     for node_id, (t0, sid) in enumerate(arrivals):
         rng = np.random.default_rng(derive_seed(seed, 202, node_id))
@@ -339,10 +363,10 @@ def simulate_manhattan(grid: RoadGrid, arrival_rate: float, speed_model: SpeedMo
         seg = np.minimum(np.searchsorted(cum, dist, side="right") - 1, len(seg_len) - 1)
         frac = (dist - cum[seg]) / seg_len[seg]
         pos = points[seg] + frac[:, None] * (points[seg + 1] - points[seg])
-        traj.tracks.append(NodeTrack(
+        tracks.append(NodeTrack(
             node=node_id, enter_tick=int(k0) - w_ticks, pos=pos,
             speed=np.full(len(ticks), speed), link=seg_links[seg]))
-    return traj
+    return TrajectorySet(tick=tick, horizon=horizon, tracks=tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +414,7 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
 
     t_max = max(s[-1][0] for s in by_node.values())
     horizon = int(math.floor(t_max / tick + 1e-9)) + 1
-    traj = TrajectorySet(tick=tick, horizon=horizon)
+    tracks, dropped = [], 0
     for node in sorted(by_node):
         rows = by_node[node]
         ts = np.array([r[0] for r in rows])
@@ -415,33 +439,22 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
         pos = np.stack([x, y], axis=1)
         links = link_of_many(grid, pos, eps_snap)
         on = links >= 0
-        traj.dropped_samples += int((~on).sum())
+        dropped += int((~on).sum())
         # split into contiguous on-grid episodes
         idx = np.nonzero(on)[0]
         if idx.size == 0:
             continue
         breaks = np.nonzero(np.diff(idx) > 1)[0]
         for chunk in np.split(idx, breaks + 1):
-            traj.tracks.append(NodeTrack(
+            tracks.append(NodeTrack(
                 node=node, enter_tick=int(ticks[chunk[0]]),
                 pos=pos[chunk], speed=v[chunk], link=links[chunk]))
-    return traj
+    return TrajectorySet(tick=tick, horizon=horizon, tracks=tracks, dropped_samples=dropped)
 
 
 # ---------------------------------------------------------------------------
 # contacts
 # ---------------------------------------------------------------------------
-
-def sample_index(traj: TrajectorySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat layout of every sample, track by track: the track and the tick of
-    each sample, and the row of each track's first sample."""
-    lens = np.array([len(tr.pos) for tr in traj.tracks], dtype=np.int64)
-    enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
-    first = np.cumsum(lens) - lens
-    track = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    tick = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(enter - first, lens)
-    return track, tick, first
-
 
 # candidate pairs screened at once: bounds the temporary memory of a sweep
 _SWEEP_BLOCK = 1 << 16
@@ -458,11 +471,9 @@ def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
     """
     if r <= 0:
         raise ValueError("contact radius must be positive")
-    track, tick, _ = sample_index(traj)
-    pos = (np.concatenate([tr.pos for tr in traj.tracks]) if traj.tracks
-           else np.zeros((0, 2)))
+    track, tick = traj.sample_index()
     inside = (tick >= 0) & (tick < traj.horizon)
-    track, tick, x, y = track[inside], tick[inside], pos[inside, 0], pos[inside, 1]
+    track, tick, x, y = track[inside], tick[inside], traj.pos[inside, 0], traj.pos[inside, 1]
     order = np.lexsort((x, tick))
     track, tick, x, y = track[order], tick[order], x[order], y[order]
 
@@ -544,11 +555,8 @@ def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[Contact
     tau_sum = np.zeros((L, T))
     tau_cnt = np.zeros((L, T))
 
-    _, tick, first = sample_index(traj)
-    enter = np.array([tr.enter_tick for tr in traj.tracks], dtype=np.int64)
-    link = (np.concatenate([tr.link for tr in traj.tracks]) if traj.tracks
-            else np.zeros(0, np.int64))
-    speed = np.concatenate([tr.speed for tr in traj.tracks]) if traj.tracks else np.zeros(0)
+    _, tick = traj.sample_index()
+    first, enter, link, speed = traj.first, traj.enter, traj.link, traj.speed
 
     # per-sample concurrent contact counts
     event, c_tick = contacts.contact_ticks()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import gen_random_schemes
-from .fcsim import SimContext, SimOutcome, safe_ratio
+from .fcsim import SimContext, SimOutcome, safe_ratio, zoi_alpha
 from .mobility import MobilityFeatures
 from .rng import derive_seed
 from .scheme import CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, scheme_cost
@@ -67,10 +67,6 @@ class PredictedOutcome:
     gamma: np.ndarray
     v: np.ndarray
 
-    @property
-    def shape(self):
-        return self.n_c.shape
-
 
 def _predicted_outcome(model, m: MobilityFeatures, scheme: FcScheme,
                        v_first: np.ndarray | None) -> PredictedOutcome:
@@ -84,13 +80,6 @@ def _predicted_outcome(model, m: MobilityFeatures, scheme: FcScheme,
             carry = safe_ratio(c.n_c[:, t - 1], m.n[:, t - 1], 0.0)
         v[:, t] = np.clip(carry, 0.0, 1.0)
     return PredictedOutcome(n=m.n, n_c=c.n_c, gamma=c.gamma, v=v)
-
-
-def _predicted_alpha(out: PredictedOutcome, zoi) -> np.ndarray:
-    z = np.asarray(sorted(zoi), dtype=np.int64)
-    denom = out.n[z, :].sum(axis=0)
-    num = out.n_c[z, :].sum(axis=0)
-    return safe_ratio(num, denom, np.nan)
 
 
 def _zoi_centroid(grid, zoi) -> np.ndarray:
@@ -151,7 +140,7 @@ def _candidates(model, grid, req: ServiceRequest, T: int, opts: PlannerOptions,
 
 def _score(model, m, scheme, req, w, v_first):
     out = _predicted_outcome(model, m, scheme, v_first)
-    alpha = _predicted_alpha(out, req.zoi)
+    alpha = zoi_alpha(out.n_c, out.n, req.zoi)
     cost = scheme_cost(out, scheme, w)
     return alpha, cost
 

@@ -173,11 +173,5 @@ def scheme_cost(outcome, scheme: FcScheme, w: CostWeights) -> float:
 def is_feasible(outcome, req: ServiceRequest) -> bool:
     """True iff the success ratio meets alpha0 in every interval; an interval
     with no ZOI traffic counts as infeasible."""
-    from .fcsim import UndefinedRatioError, success_ratio
-    for t in range(1, outcome.shape[1] + 1):
-        try:
-            if success_ratio(outcome, req.zoi, t) < req.alpha0:
-                return False
-        except UndefinedRatioError:
-            return False
-    return True
+    from .fcsim import zoi_alpha
+    return bool(np.all(zoi_alpha(outcome.n_c, outcome.n, req.zoi) >= req.alpha0))

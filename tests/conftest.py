@@ -37,7 +37,7 @@ def capacity_channel():
 def make_traj(grid, tracks_spec, horizon, tick=1.0):
     """Hand-built trajectory set: tracks_spec is a list of
     (node_id, enter_tick, positions (n, 2)) with parked or moving nodes."""
-    traj = TrajectorySet(tick=tick, horizon=horizon)
+    tracks = []
     for node, enter, pos in tracks_spec:
         pos = np.asarray(pos, dtype=float)
         if pos.ndim == 1:
@@ -47,6 +47,6 @@ def make_traj(grid, tracks_spec, horizon, tick=1.0):
             raise AssertionError("test track leaves the grid")
         step = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         speed = np.concatenate([step, step[-1:]]) if len(pos) > 1 else np.zeros(1)
-        traj.tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos,
-                                     speed=speed / tick, link=links))
-    return traj
+        tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos,
+                                speed=speed / tick, link=links))
+    return TrajectorySet(tick=tick, horizon=horizon, tracks=tracks)

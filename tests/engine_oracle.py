@@ -2,7 +2,8 @@
 
 `oracle_run(ctx, ...)` is the earlier `SimContext.run` with its seeding
 clamp, instantaneous step and capacity step, and `oracle_keyed_u01` is the
-earlier five-round keyed draw.  They read only the precomputed per-tick
+earlier five-round keyed draw.  `link_at` and `dist_of` are the earlier
+scalar lookups of `SimContext`.  They read only the precomputed per-tick
 arrays of a `SimContext`, so every batched outcome can be compared with
 them bit for bit.
 """
@@ -30,6 +31,16 @@ def _as_u64(v):
     if a.dtype.kind in "iu":
         return a.astype(np.int64).view(np.uint64) if a.dtype.kind == "i" else a.astype(np.uint64)
     return np.asarray(a, dtype=np.int64).view(np.uint64)
+
+
+def link_at(ctx, track: int, k: int) -> int:
+    """Link of track `track` at tick k."""
+    return int(ctx.sample_link[ctx.offset[track] + (k - ctx.enter[track])])
+
+
+def dist_of(ctx, event: int, k: int) -> float:
+    """Distance of contact event `event` at tick k."""
+    return float(ctx.ev_dist[ctx.ev_off[event] + (k - ctx.ev_start[event])])
 
 
 def oracle_keyed_u01(seed, kind, id_a, id_b, tick):
@@ -227,12 +238,12 @@ def _step_capacity(ctx, events, holds, busy, transfers, next_tid, a, b, t, k, se
             busy[receiver] = -1
             del transfers[tid]
             continue
-        bits += _rate(ch, ctx.dist_of(event, k)) * ctx.tick
-        gamma_col[ctx.link_at(sender, k)] += 1.0
+        bits += _rate(ch, dist_of(ctx, event, k)) * ctx.tick
+        gamma_col[link_at(ctx, sender, k)] += 1.0
         if bits >= ch.content_bits:
             u = float(oracle_keyed_u01(seed, rng.KIND_RECV_KEEP,
                                        min(sender, receiver), max(sender, receiver), k))
-            if u < b[ctx.link_at(receiver, k), t] and not holds[receiver]:
+            if u < b[link_at(ctx, receiver, k), t] and not holds[receiver]:
                 holds[receiver] = True
                 kept_receptions += 1
             busy[sender] = -1
@@ -266,12 +277,12 @@ def _step_capacity(ctx, events, holds, busy, transfers, next_tid, a, b, t, k, se
                         u = float(oracle_keyed_u01(seed, rng.KIND_PARTNER, s_id, 0, k))
                         pick = cands[min(int(u * len(cands)), len(cands) - 1)]
                         r_id, e_id = int(rcv[pick]), int(evs[pick])
-                        bits = _rate(ch, ctx.dist_of(e_id, k)) * ctx.tick
-                        gamma_col[ctx.link_at(s_id, k)] += 1.0
+                        bits = _rate(ch, dist_of(ctx, e_id, k)) * ctx.tick
+                        gamma_col[link_at(ctx, s_id, k)] += 1.0
                         if bits >= ch.content_bits:
                             u2 = float(oracle_keyed_u01(seed, rng.KIND_RECV_KEEP,
                                                         min(s_id, r_id), max(s_id, r_id), k))
-                            if u2 < b[ctx.link_at(r_id, k), t] and not holds[r_id]:
+                            if u2 < b[link_at(ctx, r_id, k), t] and not holds[r_id]:
                                 holds[r_id] = True
                                 kept_receptions += 1
                         else:

@@ -114,6 +114,26 @@ def test_partition_beyond_trace_horizon_is_a_config_error(tmp_path, capsys):
     assert "interval partition covers 360 ticks" in capsys.readouterr().err
 
 
+def test_mobility_without_vehicles_is_a_config_error(tmp_path, capsys):
+    path = str(write_config(tmp_path, {"mobility": {"arrival_rate": 0.0}}))
+    out = tmp_path / "run"
+    assert main(["grid", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert main(["mobility", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "no track" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_malformed_trace_is_a_config_error(tmp_path, capsys):
+    trace = tmp_path / "bad.csv"
+    trace.write_text("t,node_id,x,y\n0.0,1,0.0,0.0\n1.0,one,10.0,0.0\n")
+    path = str(write_config(tmp_path, {"mobility": {"kind": "trace",
+                                                    "trace_path": str(trace)}}))
+    out = str(tmp_path / "run")
+    assert main(["grid", "--config", path, "--out", out]) == EXIT_OK
+    assert main(["mobility", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert "bad.csv:3: malformed row" in capsys.readouterr().err
+
+
 def test_missing_artifact_names_producer(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = main(["mobility", "--config", str(path), "--out", str(tmp_path / "run")])

@@ -1,4 +1,5 @@
-"""The columnar contact sweep against the per-tick pair loop it replaced.
+"""The columnar contact sweep against the per-tick pair loop it replaced,
+and the trajectory columns against the tracks they are built from.
 
 `oracle_detect_contacts` and `oracle_mobility_features` are the earlier
 list-of-events implementations, kept as references: the sweep must produce
@@ -8,7 +9,7 @@ from its columns must be bit-identical too.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floatsim import (ChannelModel, ContactEvent, ContactTable, NodeTrack, SimContext,
@@ -125,9 +126,10 @@ _coord = st.one_of(_lattice, _lattice, st.floats(0.0, 120.0, allow_nan=False))
 
 
 @st.composite
-def trajectory_sets(draw):
+def track_lists(draw):
+    """(horizon, tracks) of a random small trajectory set."""
     horizon = draw(st.integers(1, 14))
-    traj = TrajectorySet(tick=1.0, horizon=horizon)
+    tracks = []
     for node in range(draw(st.integers(0, 7))):
         enter = draw(st.integers(0, horizon - 1))
         # tracks may run past the horizon
@@ -137,9 +139,53 @@ def trajectory_sets(draw):
         pos = np.array(pts * n if hold else pts, dtype=float)
         link = np.array([draw(st.integers(0, N_LINKS - 1)) for _ in range(n)], dtype=np.int64)
         speed = np.array([draw(st.floats(0.0, 20.0)) for _ in range(n)])
-        traj.tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos, speed=speed,
-                                     link=link))
-    return traj
+        tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos, speed=speed, link=link))
+    return horizon, tracks
+
+
+@st.composite
+def trajectory_sets(draw):
+    horizon, tracks = draw(track_lists())
+    return TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
+
+
+def _flatten_by_track(tracks):
+    """The flat sample layout as loops over the tracks build it: one row
+    (track, tick, x, y, speed, link) per sample, track by track."""
+    return [(k, tr.enter_tick + r, *tr.pos[r], tr.speed[r], tr.link[r])
+            for k, tr in enumerate(tracks) for r in range(len(tr.pos))]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(track_lists())
+@example((3, []))
+def test_columns_hold_the_tracks_in_order(spec):
+    horizon, tracks = spec
+    traj = TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
+    rows = _flatten_by_track(tracks)
+    lens = [len(tr.pos) for tr in tracks]
+    want = {"enter": [tr.enter_tick for tr in tracks], "exit": [tr.exit_tick for tr in tracks],
+            "first": [sum(lens[:k]) for k in range(len(tracks))],
+            "link": [r[5] for r in rows]}
+    for name, values in want.items():
+        col = getattr(traj, name)
+        assert col.dtype == np.int64 and col.tolist() == values, name
+    track, tick = traj.sample_index()
+    assert track.dtype == tick.dtype == np.int64
+    assert track.tolist() == [r[0] for r in rows] and tick.tolist() == [r[1] for r in rows]
+    assert traj.pos.shape == (len(rows), 2) and traj.speed.shape == (len(rows),)
+    assert traj.pos.tobytes() == np.array([r[2:4] for r in rows], dtype=float).tobytes()
+    assert traj.speed.tobytes() == np.array([r[4] for r in rows], dtype=float).tobytes()
+
+    # the tracks are views into the columns, and the set is built whole
+    assert traj.num_tracks == len(traj.tracks) == len(tracks)
+    for got, given_track in zip(traj.tracks, tracks):
+        assert (got.node, got.enter_tick) == (given_track.node, given_track.enter_tick)
+        for name in ("pos", "speed", "link"):
+            assert np.array_equal(getattr(got, name), getattr(given_track, name)), name
+            assert np.shares_memory(getattr(got, name), getattr(traj, name)), name
+    with pytest.raises(AttributeError):
+        traj.tracks.append(tracks[0] if tracks else None)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -241,6 +287,17 @@ def _old_contact_slices(contacts, sim_ticks):
 CTX_ARRAYS = ("enter", "exit", "offset", "sample_link", "pt_track", "pt_link", "pt_bounds",
               "ev_start", "ev_end", "ev_i", "ev_j", "ev_off", "ev_dist", "ct_event",
               "ct_bounds")
+
+
+def test_context_reads_the_trajectory_columns(grid, desk_traj, desk_contacts,
+                                              capacity_channel):
+    ctx = SimContext(grid, desk_traj, desk_contacts, capacity_channel, [150.0, 150.0])
+    assert np.shares_memory(ctx.sample_link, desk_traj.link)
+    for name, tracks_value in (("enter", [tr.enter_tick for tr in desk_traj.tracks]),
+                               ("exit", [tr.exit_tick for tr in desk_traj.tracks])):
+        np.testing.assert_array_equal(getattr(ctx, name), tracks_value, err_msg=name)
+    np.testing.assert_array_equal(ctx.sample_link,
+                                  np.concatenate([tr.link for tr in desk_traj.tracks]))
 
 
 @pytest.mark.parametrize("mode", ["instantaneous", "capacity"])

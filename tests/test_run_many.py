@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from floatsim import (ChannelModel, FcScheme, NodeTrack, SimContext, TrajectorySet, all_on,
                       all_zero, detect_contacts, rng)
 from floatsim.fcsim import LedgerImbalanceError, ShapeError, _rate, _Transfers
-from engine_oracle import oracle_keyed_u01, oracle_run
+from engine_oracle import dist_of, oracle_keyed_u01, oracle_run
 
 RADIUS = 50.0
 N_LINKS = 5              # links the random samples sit on; the grid has more
@@ -43,7 +43,7 @@ def assert_same_outcome(got, want):
 @st.composite
 def contexts(draw, grid, mode=None, seeding=None):
     horizon = draw(st.integers(2, 14))
-    traj = TrajectorySet(tick=1.0, horizon=horizon)
+    tracks = []
     for node in range(draw(st.integers(0, 8))):
         enter = draw(st.integers(0, horizon - 1))
         n = draw(st.integers(1, horizon - enter + 2))       # may run past the horizon
@@ -55,8 +55,9 @@ def contexts(draw, grid, mode=None, seeding=None):
         else:
             link = np.array([draw(st.integers(0, N_LINKS - 1)) for _ in range(n)],
                             dtype=np.int64)
-        traj.tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos,
-                                     speed=np.zeros(n), link=link))
+        tracks.append(NodeTrack(node=node, enter_tick=enter, pos=pos,
+                                speed=np.zeros(n), link=link))
+    traj = TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
     sim = draw(st.integers(1, horizon))
     cuts = sorted(draw(st.sets(st.integers(1, sim - 1), max_size=2))) if sim > 1 else []
     d_t = np.diff([0] + cuts + [sim]).astype(float)
@@ -74,16 +75,17 @@ def crowded_contexts(draw, grid):
     other, so senders compete for the same receivers.  The content size is
     such that close pairs move it in one tick and far pairs in several."""
     horizon = draw(st.integers(3, 12))
-    traj = TrajectorySet(tick=1.0, horizon=horizon)
+    tracks = []
     for node in range(draw(st.integers(6, 12))):
         enter = draw(st.integers(0, 2))
         n = draw(st.integers(1, horizon - enter))            # some leave early
         spot = draw(st.sampled_from([(5.0, 5.0), (30.0, 30.0)]) | st.tuples(
             st.floats(0.0, 30.0), st.floats(0.0, 30.0)))    # at most 42.5 m apart
-        traj.tracks.append(NodeTrack(node=node, enter_tick=enter,
-                                     pos=np.tile(np.array(spot, dtype=float), (n, 1)),
-                                     speed=np.zeros(n),
-                                     link=np.full(n, draw(st.integers(0, N_LINKS - 1)))))
+        tracks.append(NodeTrack(node=node, enter_tick=enter,
+                                pos=np.tile(np.array(spot, dtype=float), (n, 1)),
+                                speed=np.zeros(n),
+                                link=np.full(n, draw(st.integers(0, N_LINKS - 1)))))
+    traj = TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
     sim = draw(st.integers(1, horizon))
     cuts = sorted(draw(st.sets(st.integers(1, sim - 1), max_size=2))) if sim > 1 else []
     d_t = np.diff([0] + cuts + [sim]).astype(float)
@@ -295,7 +297,7 @@ def test_transfer_rates_are_scalar_rates(grid, desk_traj, desk_contacts, capacit
     ctx.run_many([FcScheme(*gen.uniform(0, 1, (3, L, 2))) for _ in range(4)], [1, 2, 3, 4])
     assert len({(e, k) for e, k, _ in used}) > 1000
     for e, k, bits in used:
-        assert bits == _rate(capacity_channel, ctx.dist_of(e, k)) * ctx.tick, (e, k)
+        assert bits == _rate(capacity_channel, dist_of(ctx, e, k)) * ctx.tick, (e, k)
 
 
 def test_ledger_imbalance_names_the_run(grid, desk_traj, desk_contacts, instant_channel,
