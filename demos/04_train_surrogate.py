@@ -8,8 +8,8 @@ Run: python demos/04_train_surrogate.py   (about a minute)
 import numpy as np
 
 from floatsim import (ChannelModel, KMH, SpeedModel, build_dataset, build_manhattan,
-                      detect_contacts, feasibility_labels, fit_normalizer,
-                      gen_random_schemes, raster_embed, simulate_manhattan)
+                      feasibility_labels, gen_random_schemes, raster_embed,
+                      simulate_manhattan)
 from floatsim.learn import (SurrogateHyper, f_score, flatten_pair_rows,
                             train_baseline, train_surrogate)
 
@@ -45,7 +45,7 @@ print(f"held-out MSE on holder counts: {mse:.4f} vs mean-baseline {base:.4f} "
 # nodes supplied?  The surrogate derives its answer from predicted counts.
 zoi, target = (0, 1, 2), 0.5
 labels = feasibility_labels(pairs, zoi, target)
-rows = flatten_pair_rows(pairs, fit_normalizer(train))
+rows = flatten_pair_rows(pairs, result.model.normalizer)   # fitted on `train`
 split = 8 * 20                     # rows of the held-out pairs come first
 tree = train_baseline("tree", rows[split:], labels[split:].astype(int), max_depth=8)
 knn = train_baseline("knn", rows[split:], labels[split:].astype(int), k=5)

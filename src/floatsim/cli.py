@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (Normalizer, build_dataset, feasibility_labels, fit_normalizer,
-                      gen_random_schemes, load_dataset, save_dataset)
+from .dataset import (build_dataset, feasibility_labels, gen_random_schemes, load_dataset,
+                      save_dataset)
 from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, zoi_alpha
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
@@ -470,9 +470,7 @@ def cmd_dataset(run: Run) -> None:
     pairs = build_dataset(run.traj, grid, d_t, schemes, run.channel,
                           seed=derive_seed(cfg["seed"], 3), contacts=run.contacts,
                           seeding_mode=cfg["seeding_mode"])
-    normalizer = fit_normalizer(pairs)
-    save_dataset(run.out / "dataset", pairs, grid, run.channel, d_t, cfg["tick_s"],
-                 normalizer)
+    save_dataset(run.out / "dataset", pairs, grid, run.channel, d_t, cfg["tick_s"])
     rows = len(pairs) * grid.num_links * len(d_t)
     print(f"dataset: {len(pairs)} pairs, {rows} feature rows")
 
@@ -480,15 +478,13 @@ def cmd_dataset(run: Run) -> None:
 def cmd_train(run: Run) -> None:
     cfg, grid = run.cfg, run.grid
     run.require("dataset/pairs.csv", "dataset")
-    pairs, manifest = load_dataset(run.out / "dataset")
-    normalizer = (Normalizer.from_dict(manifest["normalizer"])
-                  if manifest.get("normalizer") else fit_normalizer(pairs))
+    pairs, _ = load_dataset(run.out / "dataset")
     embedding = raster_embed(grid, cfg["model"]["raster_h"], cfg["model"]["raster_w"])
     mdl = cfg["model"]
     hyper = SurrogateHyper(**{k: v for k, v in mdl.items()
                               if k not in ("raster_h", "raster_w")},
                            seed=derive_seed(cfg["seed"], 4))
-    result = train_surrogate(pairs, embedding, normalizer, hyper)
+    result = train_surrogate(pairs, embedding, hyper=hyper)
     save_model(result.model, run.out / "model.bin")
     with open(run.out / "metrics.csv", "w") as fh:
         fh.write("fold,train_mse,val_mse\n")
@@ -498,7 +494,7 @@ def cmd_train(run: Run) -> None:
     # feasibility classification: surrogate versus classical baselines
     req = run.request
     labels = feasibility_labels(pairs, req.zoi, req.alpha0)
-    rows = flatten_pair_rows(pairs, normalizer)
+    rows = flatten_pair_rows(pairs, result.model.normalizer)
     rng = np.random.default_rng(derive_seed(cfg["seed"], 5))
     order = rng.permutation(len(rows))
     n_test = max(1, int(len(rows) * cfg["split"]["test_fraction"]))

@@ -24,9 +24,6 @@ from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
 from .scheme import FcScheme, all_on, all_zero
 
-FEATURE_CHANNELS = ("n", "lambda", "tau", "nu", "n_c", "gamma")
-
-
 @dataclass
 class CommFeatures:
     """Communication features measured (or predicted) per (link, interval)."""
@@ -56,68 +53,47 @@ class TrainingPair:
 
 @dataclass
 class Normalizer:
-    """Per-channel affine (mean, scale) fitted on a training split."""
-    names: tuple[str, ...]
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def _idx(self, name: str) -> int:
-        return self.names.index(name)
-
-    def transform(self, name: str, values: np.ndarray) -> np.ndarray:
-        i = self._idx(name)
-        return (np.asarray(values, dtype=float) - self.mean[i]) / self.scale[i]
-
-    def inverse(self, name: str, values: np.ndarray) -> np.ndarray:
-        i = self._idx(name)
-        return np.asarray(values, dtype=float) * self.scale[i] + self.mean[i]
+    """Z-score (mean, scale) of the four mobility channels n, lambda, tau
+    and nu, fitted on a training split."""
+    mean: np.ndarray           # (4,)
+    scale: np.ndarray          # (4,)
 
     def transform_mobility(self, m: MobilityFeatures) -> np.ndarray:
         """Stack the four mobility channels, z-scored, as (4, L, T)."""
-        return np.stack([self.transform("n", m.n), self.transform("lambda", m.lam),
-                         self.transform("tau", m.tau), self.transform("nu", m.nu)])
+        return ((np.stack([m.n, m.lam, m.tau, m.nu]) - self.mean[:, None, None])
+                / self.scale[:, None, None])
 
     def to_dict(self) -> dict:
-        return {"names": list(self.names), "mean": self.mean.tolist(),
-                "scale": self.scale.tolist()}
+        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(tuple(d["names"]), np.array(d["mean"], dtype=float),
-                   np.array(d["scale"], dtype=float))
-
-
-def _channel_values(pair: TrainingPair, name: str) -> np.ndarray:
-    if name == "n":
-        return pair.m.n
-    if name == "lambda":
-        return pair.m.lam
-    if name == "tau":
-        return pair.m.tau
-    if name == "nu":
-        return pair.m.nu
-    if name == "n_c":
-        return pair.c.n_c
-    if name == "gamma":
-        return pair.c.gamma.sum(axis=2)
-    raise KeyError(name)
+        return cls(np.array(d["mean"], dtype=float), np.array(d["scale"], dtype=float))
 
 
 def fit_normalizer(pairs: list[TrainingPair], split=None) -> Normalizer:
-    """Z-score parameters per feature channel over the given pair indices
+    """Z-score parameters per mobility channel over the given pair indices
     (all pairs when split is None).  Constant channels get scale 1 so they
     normalize to exactly zero."""
     chosen = pairs if split is None else [pairs[i] for i in split]
     if not chosen:
         raise ValueError("cannot fit a normalizer on an empty split")
-    mean = np.zeros(len(FEATURE_CHANNELS))
-    scale = np.ones(len(FEATURE_CHANNELS))
-    for ci, name in enumerate(FEATURE_CHANNELS):
-        stacked = np.concatenate([_channel_values(p, name).ravel() for p in chosen])
+    mean = np.zeros(4)
+    scale = np.ones(4)
+    # one flat channel at a time: a stacked mean sums in another order
+    for ci, channel in enumerate(zip(*((p.m.n, p.m.lam, p.m.tau, p.m.nu) for p in chosen))):
+        stacked = np.concatenate([v.ravel() for v in channel])
         mean[ci] = stacked.mean()
         sd = stacked.std()
         scale[ci] = sd if sd > 0 else 1.0
-    return Normalizer(FEATURE_CHANNELS, mean, scale)
+    return Normalizer(mean, scale)
+
+
+def link_inputs(normalizer: Normalizer, m: MobilityFeatures, scheme: FcScheme) -> np.ndarray:
+    """The surrogate's per-link input stack (7, L, T): z-scored n, lambda,
+    tau and nu, then the raw strategy planes a, b and s."""
+    return np.concatenate([normalizer.transform_mobility(m),
+                           np.stack([scheme.a, scheme.b, scheme.s])])
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +171,7 @@ def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcSche
 
 
 def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
-                 channel: ChannelModel, d_t, tick: float,
-                 normalizer: Normalizer | None = None) -> None:
+                 channel: ChannelModel, d_t, tick: float) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -206,7 +181,6 @@ def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
         "d_t": list(np.asarray(d_t, dtype=float)),
         "tick": tick,
         "count": len(pairs),
-        "normalizer": normalizer.to_dict() if normalizer else None,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
     with open(directory / "pairs.csv", "w") as fh:

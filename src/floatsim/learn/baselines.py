@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataset import Normalizer, TrainingPair
+from ..dataset import Normalizer, TrainingPair, link_inputs
 from ..rng import derive_seed
 
 
@@ -15,23 +15,12 @@ class BaselineParameterError(ValueError):
     pass
 
 
-def flatten_pair_rows(pairs: list[TrainingPair],
-                      normalizer: Normalizer | None = None) -> np.ndarray:
-    """One row per (pair, interval): concatenated per-link
-    [n, lambda, tau, nu, a, b, s], mobility channels z-scored when a
-    normalizer is given.  Row order matches dataset.feasibility_labels."""
-    rows = []
-    for p in pairs:
-        if normalizer is not None:
-            mob = normalizer.transform_mobility(p.m)
-        else:
-            mob = np.stack([p.m.n, p.m.lam, p.m.tau, p.m.nu])
-        L, T = p.m.shape
-        for t in range(T):
-            rows.append(np.concatenate([mob[0, :, t], mob[1, :, t], mob[2, :, t],
-                                        mob[3, :, t], p.scheme.a[:, t],
-                                        p.scheme.b[:, t], p.scheme.s[:, t]]))
-    return np.stack(rows)
+def flatten_pair_rows(pairs: list[TrainingPair], normalizer: Normalizer) -> np.ndarray:
+    """One row per (pair, interval): the interval's dataset.link_inputs
+    stack, channel by channel [n, lambda, tau, nu, a, b, s] over the links.
+    Row order matches dataset.feasibility_labels."""
+    return np.concatenate([link_inputs(normalizer, p.m, p.scheme).transpose(2, 0, 1)
+                           .reshape(p.m.shape[1], -1) for p in pairs])
 
 
 class KNNClassifier:

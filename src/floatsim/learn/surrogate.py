@@ -20,14 +20,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..dataset import CommFeatures, Normalizer, TrainingPair
+from ..dataset import CommFeatures, Normalizer, TrainingPair, fit_normalizer, link_inputs
 from ..mobility import MobilityFeatures
 from ..roadnet import RasterEmbedding
 from ..rng import derive_seed
 from ..scheme import FcScheme
 from .layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Softplus
 
-INPUT_CHANNELS = 7    # n, lambda, tau, nu, a, b, s
+INPUT_CHANNELS = 7    # the dataset.link_inputs stack
 OUTPUT_CHANNELS = 2   # n_c, gamma
 
 
@@ -125,29 +125,25 @@ class SurrogateModel:
         return grad
 
     # -- AP-level interface --------------------------------------------------------
-    def input_raster(self, m: MobilityFeatures, scheme: FcScheme, t: int) -> np.ndarray:
-        """(H, W, 7) input plane stack for interval index t (0-based)."""
-        emb, norm = self.embedding, self.normalizer
-        mob = norm.transform_mobility(m)
-        planes = [emb.rasterize(mob[c, :, t]) for c in range(4)]
-        planes += [emb.rasterize(scheme.a[:, t]), emb.rasterize(scheme.b[:, t]),
-                   emb.rasterize(scheme.s[:, t])]
-        return np.stack(planes, axis=-1)
-
     def predict(self, m: MobilityFeatures, scheme: FcScheme) -> CommFeatures:
         if m.shape != scheme.shape:
             raise PredictShapeError(f"mobility {m.shape} vs scheme {scheme.shape}")
         if m.shape[0] != self.embedding.num_links:
             raise PredictShapeError(
                 f"{m.shape[0]} links but embedding maps {self.embedding.num_links}")
-        L, T = m.shape
-        x = np.stack([self.input_raster(m, scheme, t) for t in range(T)])
-        out = self.forward(x)
-        nc_ratio = np.stack([self.embedding.unrasterize(out[t, :, :, 0])
-                             for t in range(T)], axis=1)
-        g_ratio = np.stack([self.embedding.unrasterize(out[t, :, :, 1])
-                            for t in range(T)], axis=1)
-        return CommFeatures(n_c=nc_ratio * m.n, gamma=(g_ratio * m.n)[:, :, None])
+        out = self.forward(input_rasters(self.embedding, self.normalizer, m, scheme))
+        # (2, L, T) per-node ratios n_c/n and gamma/n, scaled back to counts;
+        # in C order, since numpy's reductions over n_c sum in layout order
+        ratio = self.embedding.unrasterize(out.transpose(3, 0, 1, 2)).transpose(0, 2, 1)
+        n_c, gamma = np.ascontiguousarray(ratio) * m.n
+        return CommFeatures(n_c=n_c, gamma=gamma[:, :, None])
+
+
+def input_rasters(embedding: RasterEmbedding, normalizer: Normalizer,
+                  m: MobilityFeatures, scheme: FcScheme) -> np.ndarray:
+    """(T, H, W, 7) network input: the link_inputs stack, one raster per interval."""
+    x = link_inputs(normalizer, m, scheme).transpose(2, 0, 1)          # (T, 7, L)
+    return embedding.rasterize(x).transpose(0, 2, 3, 1)
 
 
 def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
@@ -158,21 +154,11 @@ def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
         raise TrainingDataError("no training pairs")
     xs, ys = [], []
     for p in pairs:
-        mob = normalizer.transform_mobility(p.m)
-        L, T = p.m.shape
-        g = p.c.gamma.sum(axis=2)
+        xs.append(input_rasters(embedding, normalizer, p.m, p.scheme))
         denom = np.maximum(p.m.n, 1e-12)
-        nc_ratio = np.where(p.m.n > 0, p.c.n_c / denom, 0.0)
-        g_ratio = np.where(p.m.n > 0, g / denom, 0.0)
-        for t in range(T):
-            planes = [embedding.rasterize(mob[c, :, t]) for c in range(4)]
-            planes += [embedding.rasterize(p.scheme.a[:, t]),
-                       embedding.rasterize(p.scheme.b[:, t]),
-                       embedding.rasterize(p.scheme.s[:, t])]
-            xs.append(np.stack(planes, axis=-1))
-            ys.append(np.stack([embedding.rasterize(nc_ratio[:, t]),
-                                embedding.rasterize(g_ratio[:, t])], axis=-1))
-    return np.stack(xs), np.stack(ys)
+        ratio = np.where(p.m.n > 0, np.stack([p.c.n_c, p.c.gamma.sum(axis=2)]) / denom, 0.0)
+        ys.append(embedding.rasterize(ratio.transpose(2, 0, 1)).transpose(0, 2, 3, 1))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 @dataclass
@@ -240,16 +226,14 @@ def _sgd_epochs(model: SurrogateModel, x: np.ndarray, y: np.ndarray,
 
 
 def train_surrogate(pairs: list[TrainingPair], embedding: RasterEmbedding,
-                    normalizer: Normalizer | None = None,
                     hyper: SurrogateHyper | None = None) -> TrainResult:
-    """K-fold cross-validation for loss reporting, then a final fit on all
-    examples with the first fold as its early-stopping monitor."""
-    from ..dataset import fit_normalizer
+    """Fit the normalizer on every pair, then K-fold cross-validation for
+    loss reporting and a final fit on all examples with the first fold as
+    its early-stopping monitor."""
     hyper = hyper or SurrogateHyper()
     if not pairs:
         raise TrainingDataError("empty training set")
-    if normalizer is None:
-        normalizer = fit_normalizer(pairs)
+    normalizer = fit_normalizer(pairs)
     x, y = make_examples(pairs, embedding, normalizer)
     n = len(x)
     folds = max(2, min(hyper.folds, n))
@@ -313,6 +297,9 @@ def load_model(path) -> SurrogateModel:
     embedding = RasterEmbedding(e["H"], e["W"], np.array(e["rows"], dtype=np.int64),
                                 np.array(e["cols"], dtype=np.int64),
                                 tuple(e["origin"]), tuple(e["cell_size"]))
+    if len(header["normalizer"]["mean"]) != 4:
+        raise ValueError(f"{path}: model from an older format (six normalizer channels); "
+                         "re-run `floatsim train`")
     normalizer = Normalizer.from_dict(header["normalizer"])
     model = SurrogateModel(embedding, normalizer, SurrogateHyper(**header["hyper"]))
     flat = np.array(struct.unpack(f"<{header['param_count']}d", blob))

@@ -59,13 +59,6 @@ class NodeTrack:
     speed: np.ndarray    # (n,)
     link: np.ndarray     # (n,) int
 
-    @property
-    def exit_tick(self) -> int:
-        return self.enter_tick + len(self.pos) - 1
-
-    def ticks(self) -> np.ndarray:
-        return np.arange(self.enter_tick, self.enter_tick + len(self.pos))
-
 
 class TrajectorySet:
     """Node tracks over ticks 0..horizon-1, stored as columns.

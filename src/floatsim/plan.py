@@ -68,17 +68,19 @@ class PredictedOutcome:
     v: np.ndarray
 
 
+def _carried_availability(n_c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Availability carried into the next interval: the share of a link's
+    nodes holding the content, in [0, 1], and 0 on links without nodes."""
+    return np.clip(safe_ratio(n_c, n, 0.0), 0.0, 1.0)
+
+
 def _predicted_outcome(model, m: MobilityFeatures, scheme: FcScheme,
                        v_first: np.ndarray | None) -> PredictedOutcome:
     c = model.predict(m, scheme)
-    L, T = c.shape
-    v = np.zeros((L, T))
+    v = np.zeros(c.shape)
     if v_first is not None:
         v[:, 0] = v_first
-    for t in range(1, T):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            carry = safe_ratio(c.n_c[:, t - 1], m.n[:, t - 1], 0.0)
-        v[:, t] = np.clip(carry, 0.0, 1.0)
+    v[:, 1:] = _carried_availability(c.n_c[:, :-1], m.n[:, :-1])
     return PredictedOutcome(n=m.n, n_c=c.n_c, gamma=c.gamma, v=v)
 
 
@@ -252,9 +254,7 @@ def replan(model, outcome_so_far: SimOutcome, forecast_rest: MobilityFeatures,
         raise ReplanRangeError(f"live outcome covers {outcome_so_far.shape[1]} intervals, "
                                f"needs at least {t0 - 1}")
     prev = t0 - 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v0 = safe_ratio(outcome_so_far.n_c[:, prev], outcome_so_far.n[:, prev], 0.0)
-    v0 = np.clip(v0, 0.0, 1.0)
+    v0 = _carried_availability(outcome_so_far.n_c[:, prev], outcome_so_far.n[:, prev])
     d_rest = np.asarray(req.d_t, dtype=float)[t0 - 1:]
     w_rest = CostWeights(d_t=d_rest, content_bits=w.content_bits, beta=w.beta,
                          delta=w.delta, theta=w.theta)

@@ -9,6 +9,7 @@ that per-link features can be fed to a convolutional model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,19 +189,22 @@ class RasterEmbedding:
         return int(self.rows[link_id]), int(self.cols[link_id])
 
     def rasterize(self, values: np.ndarray) -> np.ndarray:
-        """Per-link values -> (H, W) plane; cells with several links take the mean."""
+        """Per-link values (..., L) -> planes (..., H, W); a cell with several
+        links takes their mean, summed in link order."""
         values = np.asarray(values, dtype=float)
-        plane = np.zeros((self.H, self.W))
-        count = np.zeros((self.H, self.W))
-        np.add.at(plane, (self.rows, self.cols), values)
-        np.add.at(count, (self.rows, self.cols), 1.0)
+        lead = values.shape[:-1]
+        cell = self.rows * self.W + self.cols
+        plane = np.zeros((math.prod(lead), self.H * self.W))
+        np.add.at(plane, (slice(None), cell), values.reshape(len(plane), -1))
+        count = np.bincount(cell, minlength=self.H * self.W)
         nz = count > 0
-        plane[nz] /= count[nz]
-        return plane
+        plane[:, nz] /= count[nz]
+        return plane.reshape(lead + (self.H, self.W))
 
     def unrasterize(self, plane: np.ndarray) -> np.ndarray:
-        """(H, W) plane -> per-link values, each link reading its own cell."""
-        return np.asarray(plane)[self.rows, self.cols]
+        """Planes (..., H, W) -> per-link values (..., L), each link reading
+        its own cell."""
+        return np.asarray(plane)[..., self.rows, self.cols]
 
 
 def _bin_index(t: np.ndarray, n_cells: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from floatsim.mobility import interval_of_tick, interval_ticks
 def _presence_index(traj):
     per_tick = [[] for _ in range(traj.horizon)]
     for ti, tr in enumerate(traj.tracks):
-        e = min(tr.exit_tick, traj.horizon - 1)
+        e = min(tr.enter_tick + len(tr.pos) - 1, traj.horizon - 1)
         for k in range(tr.enter_tick, e + 1):
             per_tick[k].append(ti)
     return [np.array(v, dtype=np.int64) for v in per_tick]
@@ -80,7 +80,7 @@ def oracle_mobility_features(traj, contacts, L, d_t):
             tr = traj.tracks[ti]
             degree[ti][ev.start - tr.enter_tick:ev.end - tr.enter_tick + 1] += 1
     for ti, tr in enumerate(traj.tracks):
-        ticks = tr.ticks()
+        ticks = tr.enter_tick + np.arange(len(tr.pos))
         ok = ticks < len(ivl)
         iv = ivl[ticks[ok]]
         keep = iv >= 0
@@ -164,7 +164,8 @@ def test_columns_hold_the_tracks_in_order(spec):
     traj = TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
     rows = _flatten_by_track(tracks)
     lens = [len(tr.pos) for tr in tracks]
-    want = {"enter": [tr.enter_tick for tr in tracks], "exit": [tr.exit_tick for tr in tracks],
+    want = {"enter": [tr.enter_tick for tr in tracks],
+            "exit": [tr.enter_tick + n - 1 for tr, n in zip(tracks, lens)],
             "first": [sum(lens[:k]) for k in range(len(tracks))],
             "link": [r[5] for r in rows]}
     for name, values in want.items():
@@ -294,7 +295,8 @@ def test_context_reads_the_trajectory_columns(grid, desk_traj, desk_contacts,
     ctx = SimContext(grid, desk_traj, desk_contacts, capacity_channel, [150.0, 150.0])
     assert np.shares_memory(ctx.sample_link, desk_traj.link)
     for name, tracks_value in (("enter", [tr.enter_tick for tr in desk_traj.tracks]),
-                               ("exit", [tr.exit_tick for tr in desk_traj.tracks])):
+                               ("exit", [tr.enter_tick + len(tr.pos) - 1
+                                         for tr in desk_traj.tracks])):
         np.testing.assert_array_equal(getattr(ctx, name), tracks_value, err_msg=name)
     np.testing.assert_array_equal(ctx.sample_link,
                                   np.concatenate([tr.link for tr in desk_traj.tracks]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,19 +101,16 @@ def test_all_on_saturates_parked_cluster(grid):
 def test_normalizer_roundtrip_and_constant_channel(small_pairs):
     pairs, _, _ = small_pairs
     norm = fit_normalizer(pairs)
-    rng = np.random.default_rng(0)
-    values = rng.uniform(0, 30, 50)
-    for name in norm.names:
-        z = norm.transform(name, values)
-        back = norm.inverse(name, z)
-        np.testing.assert_allclose(back, values, rtol=1e-9)
+    m = pairs[0].m
+    z = norm.transform_mobility(m)
+    assert z.shape == (4,) + m.shape
+    for i, values in enumerate((m.n, m.lam, m.tau, m.nu)):
+        np.testing.assert_array_equal(z[i], (values - norm.mean[i]) / norm.scale[i])
     # constant channel: tau is often all-zero on sparse runs; force one
-    clone = [pairs[0]]
-    clone[0].m.tau[:] = 0.0
-    n2 = fit_normalizer(clone)
-    i = n2.names.index("tau")
-    assert n2.scale[i] == 1.0
-    assert np.all(n2.transform("tau", np.zeros(4)) == 0.0)
+    flat = replace(m, tau=np.zeros_like(m.tau))
+    n2 = fit_normalizer([replace(pairs[0], m=flat)])
+    assert n2.scale[2] == 1.0
+    assert np.all(n2.transform_mobility(flat)[2] == 0.0)
 
 
 def test_normalizer_matches_two_pass_oracle(small_pairs):
@@ -121,15 +120,13 @@ def test_normalizer_matches_two_pass_oracle(small_pairs):
     stacked = np.concatenate([p.m.n.ravel() for p in chosen])
     mean = sum(stacked) / len(stacked)
     var = sum((x - mean) ** 2 for x in stacked) / len(stacked)
-    i = norm.names.index("n")
-    assert norm.mean[i] == pytest.approx(mean, rel=1e-9)
-    assert norm.scale[i] == pytest.approx(np.sqrt(var), rel=1e-9)
+    assert norm.mean[0] == pytest.approx(mean, rel=1e-9)
+    assert norm.scale[0] == pytest.approx(np.sqrt(var), rel=1e-9)
 
 
 def test_dataset_persistence_roundtrip(tmp_path, grid, small_pairs):
     pairs, _, ch = small_pairs
-    norm = fit_normalizer(pairs)
-    save_dataset(tmp_path / "ds", pairs, grid, ch, [150.0, 150.0], 1.0, norm)
+    save_dataset(tmp_path / "ds", pairs, grid, ch, [150.0, 150.0], 1.0)
     loaded, manifest = load_dataset(tmp_path / "ds")
     assert manifest["count"] == len(pairs)
     assert len(loaded) == len(pairs)
@@ -139,7 +136,7 @@ def test_dataset_persistence_roundtrip(tmp_path, grid, small_pairs):
         np.testing.assert_array_equal(a.m.n, b.m.n)
         assert a.seed == b.seed
     # byte-identical re-save (dataset determinism)
-    save_dataset(tmp_path / "ds2", loaded, grid, ch, [150.0, 150.0], 1.0, norm)
+    save_dataset(tmp_path / "ds2", loaded, grid, ch, [150.0, 150.0], 1.0)
     assert (tmp_path / "ds" / "pairs.csv").read_bytes() == \
         (tmp_path / "ds2" / "pairs.csv").read_bytes()
 
@@ -155,7 +152,7 @@ def test_measured_pairs_merge_with_simulated(small_pairs):
     norm = fit_normalizer(merged)
     labels = feasibility_labels(merged, [0, 1], 0.5)
     assert labels.shape == (len(merged) * 2,)
-    assert norm.scale.shape == (6,)
+    assert norm.scale.shape == (4,)
     with pytest.raises(ValueError):
         TrainingPair(m=p.m, scheme=p.scheme, c=p.c, provenance="guessed",
                      scenario="live", seed=0)

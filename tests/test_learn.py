@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from floatsim.learn import (DecisionTreeClassifier, KNNClassifier,
 from floatsim.learn.baselines import BaselineParameterError
 from floatsim.learn.gradcheck import check_model_loss
 from floatsim.learn.layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Softplus
-from floatsim.learn.surrogate import TrainingDataError, TrainingDivergedError, masked_mse
+from floatsim.learn.surrogate import (TrainingDataError, TrainingDivergedError, input_rasters,
+                                      masked_mse)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +58,7 @@ def test_every_layer_matches_finite_differences():
 def test_model_loss_gradient(grid):
     emb = raster_embed(grid, 9, 7)
     from floatsim.dataset import Normalizer
-    norm = Normalizer(("n", "lambda", "tau", "nu", "n_c", "gamma"),
-                      np.zeros(6), np.ones(6))
+    norm = Normalizer(np.zeros(4), np.ones(4))
     model = SurrogateModel(emb, norm, SurrogateHyper(conv_channels=4, seed=3))
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 9, 7, 7))
@@ -199,6 +201,21 @@ def test_model_save_load_roundtrip(tmp_path, trained):
     assert back.param_count == res.model.param_count
 
 
+def test_six_channel_model_file_asks_for_retraining(tmp_path, trained):
+    # model files written before the normalizer covered only the four
+    # mobility channels carry six means and scales
+    res, _, _ = trained
+    path = tmp_path / "model.bin"
+    save_model(res.model, path)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    old = json.loads(header)
+    old["normalizer"] = {"names": ["n", "lambda", "tau", "nu", "n_c", "gamma"],
+                         "mean": [0.0] * 6, "scale": [1.0] * 6}
+    path.write_bytes(json.dumps(old, sort_keys=True).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match="re-run"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
@@ -269,6 +286,48 @@ def test_flatten_pair_rows_shape(trained):
     rows = flatten_pair_rows(pairs[:3], norm)
     L, T = pairs[0].m.shape
     assert rows.shape == (3 * T, 7 * L)
+
+
+def _interval_links(norm, m, scheme, t):
+    """The per-link planes of interval t as the per-interval builders made
+    them: each mobility channel z-scored on its own, then a, b and s."""
+    mob = [(v[:, t] - norm.mean[i]) / norm.scale[i]
+           for i, v in enumerate((m.n, m.lam, m.tau, m.nu))]
+    return mob + [scheme.a[:, t], scheme.b[:, t], scheme.s[:, t]]
+
+
+def test_input_stack_matches_per_interval_builders(trained):
+    res, pairs, emb = trained
+    model, norm = res.model, res.model.normalizer
+    chosen = pairs[:3] + pairs[-2:]
+    T = chosen[0].m.shape[1]
+    assert T == 10
+    xs, ys, rows = [], [], []
+    for p in chosen:
+        m = p.m
+        nc_ratio = np.where(m.n > 0, p.c.n_c / np.maximum(m.n, 1e-12), 0.0)
+        g_ratio = np.where(m.n > 0, p.c.gamma.sum(axis=2) / np.maximum(m.n, 1e-12), 0.0)
+        x = []
+        for t in range(T):
+            planes = _interval_links(norm, m, p.scheme, t)
+            x.append(np.stack([emb.rasterize(v) for v in planes], axis=-1))
+            ys.append(np.stack([emb.rasterize(nc_ratio[:, t]),
+                                emb.rasterize(g_ratio[:, t])], axis=-1))
+            rows.append(np.concatenate(planes))
+        assert input_rasters(emb, norm, m, p.scheme).tobytes() == np.stack(x).tobytes()
+        xs += x
+        out = model.forward(np.stack(x))
+        n_c = np.stack([emb.unrasterize(out[t, :, :, 0]) for t in range(T)], axis=1) * m.n
+        g = np.stack([emb.unrasterize(out[t, :, :, 1]) for t in range(T)], axis=1) * m.n
+        c = model.predict(m, p.scheme)
+        assert c.n_c.flags.c_contiguous
+        assert c.n_c.tobytes() == n_c.tobytes()
+        assert c.gamma.tobytes() == g[:, :, None].tobytes()
+    x_new, y_new = make_examples(chosen, emb, norm)
+    assert x_new.tobytes() == np.stack(xs).tobytes() and x_new.shape == np.stack(xs).shape
+    assert y_new.tobytes() == np.stack(ys).tobytes() and y_new.shape == np.stack(ys).shape
+    flat = flatten_pair_rows(chosen, norm)
+    assert flat.tobytes() == np.stack(rows).tobytes() and flat.shape == np.stack(rows).shape
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,34 @@ def test_raster_roundtrip_is_total(grid):
         assert 0 <= r < 9 and 0 <= c < 7
 
 
+def _rasterize_plane(emb, values):
+    """The single-plane rasterizer the batched one replaced: one (H, W)
+    plane, links added into their cells in link order."""
+    plane = np.zeros((emb.H, emb.W))
+    count = np.zeros((emb.H, emb.W))
+    np.add.at(plane, (emb.rows, emb.cols), values)
+    np.add.at(count, (emb.rows, emb.cols), 1.0)
+    nz = count > 0
+    plane[nz] /= count[nz]
+    return plane
+
+
+def test_batched_raster_matches_single_plane(grid):
+    # a 3x2 raster packs several links per cell, so the summation order shows
+    emb = raster_embed(grid, 3, 2)
+    rng = np.random.default_rng(4)
+    for lead in [(), (5,), (5, 7)]:
+        shape = lead + (grid.num_links,)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        planes = emb.rasterize(values)
+        links = emb.unrasterize(planes)
+        assert planes.shape == lead + (3, 2) and links.shape == shape
+        for idx in np.ndindex(*lead):
+            want = _rasterize_plane(emb, values[idx])
+            assert planes[idx].tobytes() == want.tobytes(), (lead, idx)
+            assert links[idx].tobytes() == want[emb.rows, emb.cols].tobytes(), (lead, idx)
+
+
 def test_grid_json_roundtrip(grid):
     text = grid_to_json(grid)
     g2 = grid_from_json(text)
