@@ -14,7 +14,7 @@ from .fcsim import (
 )
 from .scheme import (
     CostWeights, FcScheme, ServiceRequest, all_on, all_zero, is_feasible,
-    scheme_cost, scheme_from_csv, scheme_to_csv,
+    scheme_cost,
 )
 from .dataset import (
     CommFeatures, Normalizer, TrainingPair, build_dataset,

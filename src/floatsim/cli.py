@@ -3,8 +3,9 @@ file-based artifacts.
 
 Subcommands (in pipeline order): grid, mobility, features, dataset, train,
 bootstrap, evaluate, report.  `pipeline` runs them all.  Exit codes:
-0 success, 2 invalid configuration, 3 missing upstream artifact,
-4 infeasible request.
+0 success, 2 invalid configuration, 3 missing or malformed upstream artifact
+(a `plan.csv` shaped for another grid or request is malformed), 4 infeasible
+request.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -23,10 +24,11 @@ import numpy as np
 
 from .dataset import (build_dataset, feasibility_labels, gen_random_schemes, load_dataset,
                       save_dataset)
-from .fcsim import ChannelModel, SimContext, alpha_to_csv, outcome_to_csv, zoi_alpha
+from .fcsim import ChannelModel, SimContext, zoi_alpha
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
 from .learn.surrogate import SurrogateHyper, load_model, save_model, train_surrogate
+from .linktable import TableError, read_table, write_table
 from .mobility import (EmptyTraceError, IntervalRangeError, SpeedModel, TraceParseError,
                        detect_contacts, interval_ticks, load_traces, mobility_features,
                        simulate_manhattan, KMH)
@@ -34,8 +36,8 @@ from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
                    circular_az_baseline, full_infrastructure_baseline)
 from .rng import derive_seed
 from .roadnet import build_manhattan, grid_from_json, grid_to_json, raster_embed
-from .scheme import (CostWeights, ServiceRequest, all_on, is_feasible, scheme_cost,
-                     scheme_from_csv, scheme_to_csv)
+from .scheme import (CostWeights, FcScheme, SchemeValueError, ServiceRequest, all_on,
+                     is_feasible, scheme_cost)
 
 SUBCOMMANDS = ("grid", "mobility", "features", "dataset", "train",
                "bootstrap", "evaluate", "report", "pipeline")
@@ -325,9 +327,23 @@ class Run:
 
     @cached_property
     def request(self) -> ServiceRequest:
-        return ServiceRequest(zoi=_zoi(self.cfg, self.grid),
-                              alpha0=self.cfg["request"]["alpha0"],
+        zoi, links = _zoi(self.cfg, self.grid), self.grid.num_links
+        if max(zoi) >= links:
+            raise ConfigError([f"request.zoi link id {max(zoi)} is not on the grid, "
+                               f"whose links are 0..{links - 1}"])
+        return ServiceRequest(zoi=zoi, alpha0=self.cfg["request"]["alpha0"],
                               d_t=_durations(self.cfg["request"]["intervals"]))
+
+    @cached_property
+    def plan(self) -> FcScheme:
+        """The bootstrap's strategy, shaped for this grid and request."""
+        path = self.require("plan.csv", "bootstrap")
+        planes = read_table(path, {f.name: float for f in fields(FcScheme)},
+                            shape=(self.grid.num_links, len(self.request.d_t)))
+        try:
+            return FcScheme(**planes)
+        except SchemeValueError as exc:
+            raise TableError(f"{path}: {exc}") from exc
 
     @cached_property
     def weights(self) -> CostWeights:
@@ -450,13 +466,8 @@ def cmd_mobility(run: Run) -> None:
 def cmd_features(run: Run) -> None:
     m = mobility_features(run.traj, run.contacts, run.grid,
                           _durations(run.cfg["intervals"]))
-    with open(run.out / "features.csv", "w") as fh:
-        fh.write("link_id,t,n,lambda,tau,nu,empty\n")
-        for l in range(m.shape[0]):
-            for t in range(m.shape[1]):
-                fh.write(f"{l},{t + 1},{float(m.n[l, t])!r},{float(m.lam[l, t])!r},"
-                         f"{float(m.tau[l, t])!r},{float(m.nu[l, t])!r},"
-                         f"{int(m.empty[l, t])}\n")
+    write_table(run.out / "features.csv",
+                {"n": m.n, "lambda": m.lam, "tau": m.tau, "nu": m.nu, "empty": m.empty})
     print(f"features: {m.shape[0]} links x {m.shape[1]} intervals")
 
 
@@ -476,9 +487,8 @@ def cmd_dataset(run: Run) -> None:
 
 
 def cmd_train(run: Run) -> None:
-    cfg, grid = run.cfg, run.grid
-    run.require("dataset/pairs.csv", "dataset")
-    pairs, _ = load_dataset(run.out / "dataset")
+    cfg, grid, req = run.cfg, run.grid, run.request
+    pairs, _ = load_dataset(run.require("dataset/pairs.csv", "dataset").parent)
     embedding = raster_embed(grid, cfg["model"]["raster_h"], cfg["model"]["raster_w"])
     mdl = cfg["model"]
     hyper = SurrogateHyper(**{k: v for k, v in mdl.items()
@@ -492,7 +502,6 @@ def cmd_train(run: Run) -> None:
             fh.write(f"{f},{tr!r},{va!r}\n")
 
     # feasibility classification: surrogate versus classical baselines
-    req = run.request
     labels = feasibility_labels(pairs, req.zoi, req.alpha0)
     rows = flatten_pair_rows(pairs, result.model.normalizer)
     rng = np.random.default_rng(derive_seed(cfg["seed"], 5))
@@ -524,8 +533,8 @@ def cmd_train(run: Run) -> None:
 
 
 def cmd_bootstrap(run: Run) -> None:
-    model = load_model(run.require("model.bin", "train"))
     req = run.request
+    model = load_model(run.require("model.bin", "train"))
     # perfect forecast: the measured mobility features of the request horizon
     forecast = mobility_features(run.traj, run.contacts, run.grid, req.d_t)
     pl = run.cfg["planner"]
@@ -533,7 +542,7 @@ def cmd_bootstrap(run: Run) -> None:
     opts = PlannerOptions(**{**pl, "az_radii": tuple(radii) if radii else None})
     result = bootstrap(model, forecast, req, run.weights, opts, run.verifier,
                        seed=derive_seed(run.cfg["seed"], 7))
-    (run.out / "plan.csv").write_text(scheme_to_csv(result.scheme))
+    write_table(run.out / "plan.csv", asdict(result.scheme))
     summary = {"predicted_cost": result.predicted_cost,
                "verified_cost": result.verified_cost,
                "alpha": [float(a) for a in result.alpha],
@@ -549,20 +558,19 @@ def cmd_bootstrap(run: Run) -> None:
 
 
 def cmd_evaluate(run: Run) -> None:
-    out, req = run.out, run.request
-    scheme = scheme_from_csv(run.require("plan.csv", "bootstrap").read_text())
+    out, req, scheme = run.out, run.request, run.plan
     n_seeds = run.cfg["evaluate"]["seeds"]
     run_seeds = [derive_seed(run.cfg["seed"], 8, si) for si in range(n_seeds)]
     outcomes = run.verifier.run_many([scheme] * n_seeds, run_seeds, zoi=req.zoi)
     costs = [scheme_cost(outcome, scheme, run.weights) for outcome in outcomes]
     feasibles = [is_feasible(outcome, req) for outcome in outcomes]
-    with open(out / "alpha_samples.csv", "w") as fh:
-        fh.write("seed,t,alpha\n")
-        for si, outcome in enumerate(outcomes):
-            for t, a in enumerate(outcome.alpha, start=1):
-                fh.write(f"{si},{t},{float(a)!r}\n")
-    (out / "outcome.csv").write_text(outcome_to_csv(outcomes[0]))
-    (out / "alpha.csv").write_text(alpha_to_csv(outcomes[0]))
+    alpha = [[f"{t},{float(a)!r}\n" for t, a in enumerate(o.alpha, 1)] for o in outcomes]
+    (out / "alpha_samples.csv").write_text(
+        "seed,t,alpha\n" + "".join(f"{si},{row}" for si, rows in enumerate(alpha) for row in rows))
+    (out / "alpha.csv").write_text("t,alpha\n" + "".join(alpha[0]))
+    o = outcomes[0]
+    write_table(out / "outcome.csv", {"n": o.n, "n_c": o.n_c, "gamma": o.gamma.sum(axis=2),
+                                      "v": o.v, "seeded": o.seeded, "dropped": o.dropped})
     verdict = {"feasible": bool(all(feasibles)),
                "feasible_fraction": float(np.mean(feasibles)),
                "cost_mean": float(np.mean(costs)),
@@ -638,8 +646,8 @@ def _box_stats(samples: np.ndarray) -> dict:
 
 
 def cmd_report(run: Run) -> None:
-    cfg, out, grid, req = run.cfg, run.out, run.grid, run.request
-    scheme = scheme_from_csv(run.require("plan.csv", "bootstrap").read_text())
+    cfg, out, grid, req, scheme = run.cfg, run.out, run.grid, run.request, run.plan
+    L, T = scheme.shape
     run.require("alpha_samples.csv", "evaluate")
     verdict = json.loads(run.require("verdict.json", "evaluate").read_text())
     report = out / "report"
@@ -658,7 +666,7 @@ def cmd_report(run: Run) -> None:
                      f"{st['hi_fence']!r},{outl}\n")
 
     deterministic = bool(getattr(run.args, "deterministic_svg", False))
-    for t in range(scheme.T):
+    for t in range(T):
         (report / f"replication_t{t + 1}.svg").write_text(strategy_svg(
             grid, scheme.a[:, t], f"replication a, interval {t + 1}", req.zoi,
             deterministic))
@@ -677,11 +685,10 @@ def cmd_report(run: Run) -> None:
         return (float(np.mean([scheme_cost(o, strategy, w) for o in outs])),
                 all(is_feasible(o, req) for o in outs))
 
-    allon_cost, allon_ok = sim_cost(all_on(grid.num_links, scheme.T))
+    allon_cost, allon_ok = sim_cost(all_on(L, T))
     az = circular_az_baseline(verifier, req, w,
                               radii=cfg["planner"]["az_radii"], run_seeds=seeds)
-    fi_cost, fi_ok = sim_cost(full_infrastructure_baseline(req.zoi, grid.num_links,
-                                                           scheme.T))
+    fi_cost, fi_ok = sim_cost(full_infrastructure_baseline(req.zoi, L, T))
     plan_cost = float(np.mean(verdict["cost_per_seed"][:n_paired]))
     plan_ok = all(verdict["feasible_per_seed"][:n_paired])
     with open(report / "savings.csv", "w") as fh:
@@ -716,28 +723,20 @@ def main(argv=None) -> int:
                         help="omit timestamps from SVG output")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config, args.seed)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     handler = {"grid": cmd_grid, "mobility": cmd_mobility, "features": cmd_features,
                "dataset": cmd_dataset, "train": cmd_train, "bootstrap": cmd_bootstrap,
                "evaluate": cmd_evaluate, "report": cmd_report,
                "pipeline": cmd_pipeline}[args.subcommand]
     try:
+        cfg = load_config(args.config, args.seed)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         with run_lock(out):
             _write_manifest(out, cfg)
             handler(Run(cfg, out, args))
-    except DependencyError as exc:
+    except (ConfigError, DependencyError, RunLockedError, TableError) as exc:
         print(exc, file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except RunLockedError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DEPENDENCY
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DEPENDENCY
     except ProblemInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -19,6 +19,7 @@ from scipy import ndimage
 from scipy.special import erf
 
 from .fcsim import ChannelModel, SimContext, zoi_alpha
+from .linktable import read_table, write_table
 from .mobility import ContactTable, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
 from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
@@ -170,6 +171,10 @@ def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcSche
             for scheme, run_seed, out in zip(schemes, run_seeds, outs)]
 
 
+PAIR_LEAD = {"pair_id": int, "scenario": str, "seed": int}
+PAIR_PLANES = dict.fromkeys(("n", "lambda", "tau", "nu", "a", "b", "s", "n_c", "gamma"), float)
+
+
 def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
                  channel: ChannelModel, d_t, tick: float) -> None:
     directory = Path(directory)
@@ -183,59 +188,27 @@ def save_dataset(directory, pairs: list[TrainingPair], grid: RoadGrid,
         "count": len(pairs),
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    with open(directory / "pairs.csv", "w") as fh:
-        fh.write("pair_id,scenario,seed,link_id,t,n,lambda,tau,nu,a,b,s,n_c,gamma\n")
-        for pid, p in enumerate(pairs):
-            L, T = p.m.shape
-            g = p.c.gamma.sum(axis=2)
-            for l in range(L):
-                for t in range(T):
-                    vals = ",".join(repr(float(v)) for v in (
-                        p.m.n[l, t], p.m.lam[l, t], p.m.tau[l, t], p.m.nu[l, t],
-                        p.scheme.a[l, t], p.scheme.b[l, t], p.scheme.s[l, t],
-                        p.c.n_c[l, t], g[l, t]))
-                    fh.write(f"{pid},{p.scenario},{p.seed},{l},{t + 1},{vals}\n")
+    planes = zip(*((p.m.n, p.m.lam, p.m.tau, p.m.nu, p.scheme.a, p.scheme.b, p.scheme.s,
+                    p.c.n_c, p.c.gamma.sum(axis=2)) for p in pairs))
+    write_table(directory / "pairs.csv", dict(zip(PAIR_PLANES, planes)),
+                lead={"pair_id": range(len(pairs)), "scenario": [p.scenario for p in pairs],
+                      "seed": [p.seed for p in pairs]})
 
 
 def load_dataset(directory) -> tuple[list[TrainingPair], dict]:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     d_t = np.array(manifest["d_t"], dtype=float)
-    rows: dict[int, list] = {}
-    meta: dict[int, tuple[str, int]] = {}
-    with open(directory / "pairs.csv") as fh:
-        header = fh.readline()
-        if not header.startswith("pair_id"):
-            raise ValueError("pairs.csv: unexpected header")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            pid = int(parts[0])
-            meta[pid] = (parts[1], int(parts[2]))
-            rows.setdefault(pid, []).append(
-                (int(parts[3]), int(parts[4])) + tuple(float(x) for x in parts[5:]))
+    table = read_table(directory / "pairs.csv", PAIR_PLANES, lead=PAIR_LEAD)
     pairs = []
     mobility_cache: dict[bytes, MobilityFeatures] = {}
-    for pid in sorted(rows):
-        data = rows[pid]
-        L = max(r[0] for r in data) + 1
-        T = max(r[1] for r in data)
-        arrays = {k: np.zeros((L, T)) for k in
-                  ("n", "lam", "tau", "nu", "a", "b", "s", "n_c", "gamma")}
-        for r in data:
-            l, t = r[0], r[1] - 1
-            for name, val in zip(("n", "lam", "tau", "nu", "a", "b", "s", "n_c", "gamma"),
-                                 r[2:]):
-                arrays[name][l, t] = val
-        key = arrays["n"].tobytes() + arrays["nu"].tobytes()
-        if key not in mobility_cache:
-            mobility_cache[key] = MobilityFeatures(
-                n=arrays["n"], lam=arrays["lam"], tau=arrays["tau"], nu=arrays["nu"],
-                empty=arrays["n"] == 0, d_t=d_t)
-        scenario, run_seed = meta[pid]
+    for k, (scenario, run_seed) in enumerate(zip(table["scenario"], table["seed"])):
+        n, lam, tau, nu, a, b, s, n_c, gamma = (table[name][k] for name in PAIR_PLANES)
+        m = mobility_cache.setdefault(n.tobytes() + nu.tobytes(), MobilityFeatures(
+            n=n, lam=lam, tau=tau, nu=nu, empty=n == 0, d_t=d_t))
         pairs.append(TrainingPair(
-            m=mobility_cache[key],
-            scheme=FcScheme(arrays["a"], arrays["b"], arrays["s"]),
-            c=CommFeatures(arrays["n_c"], arrays["gamma"][:, :, None]),
+            m=m, scheme=FcScheme(a, b, s),
+            c=CommFeatures(n_c, gamma[:, :, None]),
             provenance="simulated", scenario=scenario, seed=run_seed))
     return pairs, manifest
 

@@ -77,8 +77,7 @@ def capacity(ch: ChannelModel, d: float) -> float:
         raise ValueError(f"invalid distance {d}")
     if d > ch.radius_m:
         raise ChannelRangeError(f"distance {d} m exceeds radius {ch.radius_m} m")
-    sinr = min(ch.edge_sinr * (ch.radius_m / d) ** ch.path_loss_exp, ch.sinr_cap)
-    return ch.bandwidth_hz * math.log2(1.0 + sinr)
+    return _rate(ch, d)
 
 
 def _trial(prefix, p, id_a, id_b, tick) -> np.ndarray:
@@ -124,26 +123,6 @@ class SimOutcome:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n.shape
-
-
-def outcome_to_csv(out: SimOutcome) -> str:
-    lines = ["link_id,t,n,n_c,gamma,v,seeded,dropped"]
-    L, T = out.shape
-    g = out.gamma.sum(axis=2)
-    for l in range(L):
-        for t in range(T):
-            lines.append(f"{l},{t + 1},{float(out.n[l, t])!r},{float(out.n_c[l, t])!r},"
-                         f"{float(g[l, t])!r},{float(out.v[l, t])!r},"
-                         f"{int(out.seeded[l, t])},{int(out.dropped[l, t])}")
-    return "\n".join(lines) + "\n"
-
-
-def alpha_to_csv(out: SimOutcome) -> str:
-    lines = ["t,alpha"]
-    alpha = out.alpha if out.alpha is not None else np.full(out.shape[1], np.nan)
-    for t, a in enumerate(alpha, start=1):
-        lines.append(f"{t},{float(a)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def safe_ratio(num, den, fill):

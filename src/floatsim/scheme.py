@@ -8,7 +8,6 @@ with an un-normalized infrastructure-seeding term.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,6 @@ class FcScheme:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @property
-    def L(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.a.shape[1]
-
     def dominates(self, other: "FcScheme") -> bool:
         """Componentwise >= in all of (a, b, s)."""
         return bool(np.all(self.a >= other.a) and np.all(self.b >= other.b)
@@ -83,36 +74,6 @@ def all_zero(L: int, T: int) -> FcScheme:
     if L < 1 or T < 1:
         raise SchemeValueError("L and T must be >= 1")
     return FcScheme(np.zeros((L, T)), np.zeros((L, T)), np.zeros((L, T)))
-
-
-def scheme_to_csv(scheme: FcScheme) -> str:
-    lines = ["link_id,t,a,b,s"]
-    for l in range(scheme.L):
-        for t in range(scheme.T):
-            lines.append(f"{l},{t + 1},{float(scheme.a[l, t])!r},"
-                         f"{float(scheme.b[l, t])!r},{float(scheme.s[l, t])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def scheme_from_csv(text: str) -> FcScheme:
-    rows = []
-    for ln_no, line in enumerate(io.StringIO(text), start=1):
-        line = line.strip()
-        if not line or ln_no == 1:
-            continue
-        parts = line.split(",")
-        rows.append((int(parts[0]), int(parts[1]),
-                     float(parts[2]), float(parts[3]), float(parts[4])))
-    if not rows:
-        raise SchemeValueError("scheme CSV holds no rows")
-    L = max(r[0] for r in rows) + 1
-    T = max(r[1] for r in rows)
-    a = np.zeros((L, T))
-    b = np.zeros((L, T))
-    s = np.zeros((L, T))
-    for l, t, av, bv, sv in rows:
-        a[l, t - 1], b[l, t - 1], s[l, t - 1] = av, bv, sv
-    return FcScheme(a, b, s)
 
 
 @dataclass

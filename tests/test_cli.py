@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from floatsim import cli
@@ -12,8 +13,8 @@ from floatsim.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_INFEASIBLE, EXIT_OK
                           ConfigError, RunLockedError, load_config, main, run_lock,
                           strategy_svg)
 from floatsim.fcsim import SimContext
+from floatsim.linktable import write_table
 from floatsim.roadnet import build_manhattan, grid_from_json
-from floatsim.scheme import all_on, scheme_to_csv
 
 TINY = {
     "seed": 5,
@@ -214,7 +215,7 @@ def test_pipeline_is_byte_deterministic(tmp_path):
 
 
 def test_pipeline_derives_each_artifact_once(tmp_path, monkeypatch):
-    calls = {"load_traces": 0, "detect_contacts": 0, "SimContext": 0}
+    calls = {"load_traces": 0, "detect_contacts": 0, "SimContext": 0, "read_table": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -222,15 +223,17 @@ def test_pipeline_derives_each_artifact_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("load_traces", "detect_contacts"):
+    for name in ("load_traces", "detect_contacts", "read_table"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     monkeypatch.setattr(SimContext, "__init__", counted("SimContext", SimContext.__init__))
     path = write_config(tmp_path)
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run"),
                  "--deterministic-svg"]) == EXIT_OK
     # one trajectory and one contact table; one engine for the dataset's
-    # intervals and one for the request's, shared by bootstrap, evaluate, report
-    assert calls == {"load_traces": 1, "detect_contacts": 1, "SimContext": 2}
+    # intervals and one for the request's, shared by bootstrap, evaluate, report;
+    # one parse of plan.csv, shared by evaluate and report
+    assert calls == {"load_traces": 1, "detect_contacts": 1, "SimContext": 2,
+                     "read_table": 1}
 
 
 def test_separate_steps_match_pipeline(tmp_path):
@@ -273,7 +276,8 @@ def test_all_on_plan_saves_exactly_nothing(tmp_path):
     for step in ("grid", "mobility"):
         assert main([step, "--config", str(path), "--out", str(out)]) == EXIT_OK
     grid = grid_from_json((out / "grid.json").read_text())
-    (out / "plan.csv").write_text(scheme_to_csv(all_on(grid.num_links, 2)))
+    ones = np.ones((grid.num_links, 2))
+    write_table(out / "plan.csv", {"a": ones, "b": ones, "s": ones})
     for step in ("evaluate", "report"):
         assert main([step, "--config", str(path), "--out", str(out),
                      "--deterministic-svg"]) == EXIT_OK
@@ -282,6 +286,41 @@ def test_all_on_plan_saves_exactly_nothing(tmp_path):
     assert rows["planned"]["cost"] == rows["all_on"]["cost"]
     assert rows["planned"]["feasible"] == rows["all_on"]["feasible"]
     assert float(rows["planned"]["savings_vs_all_on_pct"]) == 0.0
+
+
+def _drop_links(lines, *links):
+    return [ln for ln in lines if ln.split(",")[0] not in {str(l) for l in links}]
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: _drop_links(lines, 5, 6), 12),                  # no cells for links 5, 6
+    (lambda lines: lines[:2] + ["0,2,1.0,abc,1.0"] + lines[3:], 3),
+    (lambda lines: lines[:50], 51),                                # 24.5 of the 31 links
+])
+def test_malformed_plan_is_a_dependency_error(tmp_path, capsys, edit, line):
+    path = str(write_config(tmp_path))
+    out = tmp_path / "run"
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", path, "--out", str(out)]) == EXIT_OK
+    links = grid_from_json((out / "grid.json").read_text()).num_links
+    lines = ["link_id,t,a,b,s"] + [f"{l},{t},1.0,1.0,1.0" for l in range(links)
+                                   for t in (1, 2)]
+    (out / "plan.csv").write_text("".join(f"{ln}\n" for ln in edit(lines)))
+    for step in ("evaluate", "report"):
+        assert main([step, "--config", path, "--out", str(out)]) == EXIT_DEPENDENCY
+        assert f"plan.csv:{line}: " in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def test_zoi_link_outside_the_grid_is_a_config_error(tmp_path, capsys):
+    path = str(write_config(tmp_path, {"request": {"zoi": [2, 999]}}))
+    out = str(tmp_path / "run")
+    for step in ("grid", "mobility", "features", "dataset"):
+        assert main([step, "--config", path, "--out", out]) == EXIT_OK
+    for step in ("train", "bootstrap"):
+        assert main([step, "--config", path, "--out", out]) == EXIT_CONFIG
+        assert "request.zoi link id 999 is not on the grid" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_infeasible_request_exit_code(tmp_path):
@@ -301,7 +340,6 @@ def test_infeasible_request_exit_code(tmp_path):
 
 def test_strategy_svg_shapes():
     grid = build_manhattan(3, 3, 100.0)
-    import numpy as np
     svg = strategy_svg(grid, np.linspace(0, 1, grid.num_links), "probe", zoi=(0,))
     assert svg.count("<line") == grid.num_links
     assert "probe" in svg

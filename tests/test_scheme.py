@@ -3,8 +3,7 @@ import pytest
 
 from floatsim import CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, scheme_cost
 from floatsim.fcsim import SimOutcome
-from floatsim.scheme import (CostShapeError, SchemeValueError, scheme_from_csv,
-                             scheme_to_csv)
+from floatsim.scheme import CostShapeError, SchemeValueError
 
 
 def manual_cost(outcome, scheme, w):
@@ -183,17 +182,6 @@ def test_request_validation():
         ServiceRequest(zoi=(1,), alpha0=0.0, d_t=np.array([10.0]))
     with pytest.raises(SchemeValueError):
         ServiceRequest(zoi=(1,), alpha0=1.2, d_t=np.array([10.0]))
-
-
-def test_scheme_csv_roundtrip():
-    rng = np.random.default_rng(6)
-    scheme = FcScheme(*rng.uniform(0, 1, (3, 4, 2)))
-    text = scheme_to_csv(scheme)
-    back = scheme_from_csv(text)
-    assert np.array_equal(back.a, scheme.a)
-    assert np.array_equal(back.b, scheme.b)
-    assert np.array_equal(back.s, scheme.s)
-    assert scheme_to_csv(back) == text
 
 
 def test_dominates_and_tail():
