@@ -645,16 +645,35 @@ def _box_stats(samples: np.ndarray) -> dict:
             "outliers": outliers}
 
 
+def _read_evaluation(run: Run) -> tuple[np.ndarray, dict]:
+    """The `evaluate` step's (n, 3) seed,t,alpha samples and its verdict; a
+    malformed file is a DependencyError that names it."""
+    path = run.require("alpha_samples.csv", "evaluate")
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DependencyError(f"{path}: malformed samples: {exc}") from exc
+    if rows.shape[0] == 0 or rows.shape[1] != 3:
+        raise DependencyError(f"{path}: expected one or more seed,t,alpha rows")
+    path = run.require("verdict.json", "evaluate")
+    try:
+        verdict = json.loads(path.read_text())
+        for key in ("cost_per_seed", "feasible_per_seed"):
+            if not isinstance(verdict[key], list):
+                raise TypeError(f"{key} is not a list")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DependencyError(f"{path}: malformed verdict: {exc!r}") from exc
+    return rows, verdict
+
+
 def cmd_report(run: Run) -> None:
     cfg, out, grid, req, scheme = run.cfg, run.out, run.grid, run.request, run.plan
     L, T = scheme.shape
-    run.require("alpha_samples.csv", "evaluate")
-    verdict = json.loads(run.require("verdict.json", "evaluate").read_text())
+    rows, verdict = _read_evaluation(run)
     report = out / "report"
     report.mkdir(exist_ok=True)
 
     # success-ratio box plots per interval
-    rows = np.loadtxt(out / "alpha_samples.csv", delimiter=",", skiprows=1, ndmin=2)
     with open(report / "boxplot.csv", "w") as fh:
         fh.write("t,min,q1,median,q3,max,iqr,lo_fence,hi_fence,outliers\n")
         for t in sorted(set(int(r) for r in rows[:, 1])):

@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import erf
 
 from .fcsim import ChannelModel, SimContext, zoi_alpha
 from .linktable import read_table, write_table
@@ -108,7 +106,11 @@ def _smoothed_planes(generator: np.random.Generator, embedding: RasterEmbedding,
 
     A random squash gain per plane varies how binary the field looks, from
     gentle gradients up to sharp compact blobs like anchor-zone strategies.
+    SciPy is imported here, its only use, so importing floatsim loads none.
     """
+    from scipy import ndimage
+    from scipy.special import erf
+
     out = np.empty((3, embedding.num_links, T))
     for p in range(3):
         gain = float(generator.choice([1.0, 3.0, 8.0]))

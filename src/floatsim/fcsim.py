@@ -206,16 +206,20 @@ class SimContext:
                                            np.arange(self.sim_ticks + 1))
         self.exit_link = self.sample_link[self.offset + (self.exit - self.enter)]
 
-        # per-tick contact slices
+        # contact events by start tick: the events that open at tick k are
+        # ev_bounds[k]..ev_bounds[k+1]-1, and ct_bounds[k] counts the
+        # contact-ticks before tick k (a difference array of +1 at each
+        # event's start and -1 after its end, clipped to the simulated ticks)
         self.ev_start, self.ev_end = contacts.start, contacts.end
         self.ev_i, self.ev_j = contacts.i, contacts.j
         self.ev_off, self.ev_dist = contacts.off, contacts.dist
-        c_event, c_tick = contacts.contact_ticks()
-        keep = c_tick < self.sim_ticks
-        c_tick, c_event = c_tick[keep], c_event[keep]
-        order = np.argsort(c_tick, kind="stable")
-        self.ct_event = c_event[order]
-        self.ct_bounds = np.searchsorted(c_tick[order], np.arange(self.sim_ticks + 1))
+        self.ev_bounds = np.searchsorted(self.ev_start, np.arange(self.sim_ticks + 1))
+        live = self.ev_start < self.sim_ticks
+        open_now = np.cumsum(
+            np.bincount(self.ev_start[live], minlength=self.sim_ticks + 1)
+            - np.bincount(np.minimum(self.ev_end[live] + 1, self.sim_ticks),
+                          minlength=self.sim_ticks + 1))
+        self.ct_bounds = np.concatenate([[0], np.cumsum(open_now[:-1])])
 
     # -- vectorized random access ---------------------------------------------
     def links_at(self, tracks: np.ndarray, k: int) -> np.ndarray:
@@ -225,9 +229,18 @@ class SimContext:
         lo, hi = self.pt_bounds[k], self.pt_bounds[k + 1]
         return self.pt_track[lo:hi], self.pt_link[lo:hi]
 
-    def pairs_at(self, k: int) -> np.ndarray:
-        lo, hi = self.ct_bounds[k], self.ct_bounds[k + 1]
-        return self.ct_event[lo:hi]
+    def open_events(self):
+        """The contact events open at each simulated tick, in ascending order.
+
+        One running list: at tick k it drops the events that ended before k
+        and appends those that start at k, which come after every earlier
+        one because events are sorted by start."""
+        end, bounds = self.ev_end, self.ev_bounds.tolist()
+        ids = np.arange(len(end))
+        events = ids[:0]
+        for k in range(self.sim_ticks):
+            events = np.concatenate((events[end[events] >= k], ids[bounds[k]:bounds[k + 1]]))
+            yield events
 
     # ---------------------------------------------------------------------------
     def run(self, scheme: FcScheme, zoi=None, seed: int = 0,
@@ -282,7 +295,7 @@ class SimContext:
         expected = np.zeros(R, dtype=np.int64)
         xfer = _Transfers.empty()       # multi-tick transfers of every run
 
-        for k in range(self.sim_ticks):
+        for k, events in enumerate(self.open_events()):
             t = int(self.ivl[k])
             tids, links = self.present_at(k)
             delta = np.zeros(R, dtype=np.int64)     # holder gains minus losses
@@ -339,7 +352,6 @@ class SimContext:
                 for r in range(R):
                     history[r].append(frozenset(np.flatnonzero(holds[r]).tolist()))
 
-            events = self.pairs_at(k)
             if instant:
                 if len(events):
                     delta += self._step_instant(events, holds, A, B, t, k, keys,

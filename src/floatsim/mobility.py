@@ -126,9 +126,11 @@ class ContactTable(Sequence):
 
     Row e is the episode of track pair (i[e], j[e]), i < j, over ticks
     start[e]..end[e]; its per-tick distances are
-    dist[off[e]:off[e] + end[e] - start[e] + 1].  Indexing and iteration give
-    ContactEvent row views, and a table equals any table or list holding the
-    same events, so it stands in for a list of events.
+    dist[off[e]:off[e] + end[e] - start[e] + 1].  dist is the only column
+    with a row per contact-tick; every other column has a row per event.
+    Indexing and iteration give ContactEvent row views, and a table equals
+    any table or list holding the same events, so it stands in for a list of
+    events.
     """
 
     def __init__(self, i, j, start, end, dist):
@@ -141,6 +143,8 @@ class ContactTable(Sequence):
         self.off = np.cumsum(length) - length
         if len(self.dist) != int(length.sum()):
             raise ValueError(f"{len(self.dist)} distances for {int(length.sum())} contact-ticks")
+        if np.any(self.start[1:] < self.start[:-1]):
+            raise ValueError("contact events must be in ascending start order")
 
     @classmethod
     def empty(cls) -> "ContactTable":
@@ -161,15 +165,6 @@ class ContactTable(Sequence):
     @property
     def num_ticks(self) -> np.ndarray:
         return self.end - self.start + 1
-
-    def contact_ticks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(event, tick) of every contact-tick, event by event; row r of the
-        result has distance dist[r]."""
-        length = self.num_ticks
-        event = np.repeat(np.arange(len(self), dtype=np.int64), length)
-        tick = np.arange(len(self.dist), dtype=np.int64) + np.repeat(self.start - self.off,
-                                                                     length)
-        return event, tick
 
     def __len__(self) -> int:
         return len(self.i)
@@ -449,7 +444,8 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
 # contacts
 # ---------------------------------------------------------------------------
 
-# candidate pairs screened at once: bounds the temporary memory of a sweep
+# candidate pairs screened, or contact-ticks encoded, at once: bounds the
+# temporary memory of detection
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -504,22 +500,39 @@ def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
         keys.append((np.minimum(ti, tj) * n_tracks + np.maximum(ti, tj)) * stride + tick[p])
         dists.append(d[hit])
         a = b
+    # At most three 8-byte arrays with a row per contact-tick live at once:
+    # each is freed when used up, and the work on them is done in place or
+    # in blocks.  Only dist, in event order, outlives this function.
     key = np.concatenate(keys) if keys else np.zeros(0, np.int64)
-    if not len(key):
+    del keys
+    n_ct = len(key)
+    if not n_ct:
         return ContactTable.empty()
     dist = np.concatenate(dists)
-    del keys, dists
-    order = np.argsort(key)
-    key, dist = key[order], dist[order]
-    del order
-
-    head = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1] + 1]))
-    tail = np.concatenate([head[1:], [len(key)]]) - 1
+    del dists
+    order = np.argsort(key)                             # sorted row -> sweep row
+    key.sort()
+    head = np.ones(n_ct, dtype=bool)
+    for a in range(1, n_ct, _SWEEP_BLOCK):
+        b = min(a + _SWEEP_BLOCK, n_ct)
+        head[a:b] = key[a:b] != key[a - 1:b - 1] + 1
+    head = np.flatnonzero(head)
     pair, start = np.divmod(key[head], stride)
+    del key
+    length = np.diff(head, append=n_ct)
     ev = np.lexsort((pair, start))                      # by (start, i, j)
-    head, tail, pair, start = head[ev], tail[ev], pair[ev], start[ev]
-    length = tail - head + 1
-    dist = dist[np.arange(len(key)) + np.repeat(head - (np.cumsum(length) - length), length)]
+    head, length, pair, start = head[ev], length[ev], pair[ev], start[ev]
+    # row[r]: the sorted row of contact-tick r in event order.  An event's
+    # rows run on from its head, so row is a cumsum of steps of 1 that jump
+    # to each head; composed with `order`, it gathers dist once.
+    row = np.ones(n_ct, dtype=np.int64)
+    row[np.cumsum(length) - length] = head - np.concatenate([[0], head[:-1] + length[:-1] - 1])
+    np.cumsum(row, out=row)
+    for a in range(0, n_ct, _SWEEP_BLOCK):
+        row[a:a + _SWEEP_BLOCK] = order[row[a:a + _SWEEP_BLOCK]]
+    del order
+    dist = dist[row]
+    del row
     i, j = np.divmod(pair, n_tracks)
     return ContactTable(i, j, start, start + length - 1, dist)
 
@@ -527,6 +540,22 @@ def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
+
+def _contact_degree(traj: TrajectorySet, contacts: ContactTable) -> np.ndarray:
+    """Number of contact events each sample is in, in column order.
+
+    A track's samples are consecutive ticks, so an event adds 1 to the
+    samples start..end of each endpoint: a difference array of +1 at the
+    first of them and -1 after the last, summed by one cumsum.
+    """
+    size = len(traj.link) + 1
+    step = np.zeros(size, dtype=np.int64)
+    for track in (contacts.i, contacts.j):
+        base = traj.first[track] - traj.enter[track]       # sample of tick 0
+        step += np.bincount(base + contacts.start, minlength=size)
+        step -= np.bincount(base + contacts.end + 1, minlength=size)
+    return np.cumsum(step)[:-1]
+
 
 def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent],
                       grid: RoadGrid, d_t) -> MobilityFeatures:
@@ -551,12 +580,7 @@ def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[Contact
     _, tick = traj.sample_index()
     first, enter, link, speed = traj.first, traj.enter, traj.link, traj.speed
 
-    # per-sample concurrent contact counts
-    event, c_tick = contacts.contact_ticks()
-    row_i = first[contacts.i[event]] + c_tick - enter[contacts.i[event]]
-    row_j = first[contacts.j[event]] + c_tick - enter[contacts.j[event]]
-    degree = (np.bincount(row_i, minlength=len(tick))
-              + np.bincount(row_j, minlength=len(tick)))
+    degree = _contact_degree(traj, contacts)
 
     # np.add.at adds in index order, here sample by sample, track by track:
     # the float sums are those of a loop over tracks

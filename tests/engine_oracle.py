@@ -3,9 +3,10 @@
 `oracle_run(ctx, ...)` is the earlier `SimContext.run` with its seeding
 clamp, instantaneous step and capacity step, and `oracle_keyed_u01` is the
 earlier five-round keyed draw.  `link_at` and `dist_of` are the earlier
-scalar lookups of `SimContext`.  They read only the precomputed per-tick
-arrays of a `SimContext`, so every batched outcome can be compared with
-them bit for bit.
+scalar lookups of `SimContext`, and `pairs_at` finds the contact events
+open at a tick by scanning every event, where the engine keeps a running
+list.  They read only the precomputed arrays of a `SimContext`, so every
+batched outcome can be compared with them bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def link_at(ctx, track: int, k: int) -> int:
 def dist_of(ctx, event: int, k: int) -> float:
     """Distance of contact event `event` at tick k."""
     return float(ctx.ev_dist[ctx.ev_off[event] + (k - ctx.ev_start[event])])
+
+
+def pairs_at(ctx, k: int) -> np.ndarray:
+    """Contact events open at tick k, ascending: a scan of every event."""
+    return np.flatnonzero((ctx.ev_start <= k) & (k <= ctx.ev_end))
 
 
 def oracle_keyed_u01(seed, kind, id_a, id_b, tick):
@@ -144,7 +150,7 @@ def oracle_run(ctx, scheme, zoi=None, seed: int = 0, record_holders: bool = Fals
         if record_holders:
             history.append(frozenset(np.nonzero(holds)[0].tolist()))
 
-        events = ctx.pairs_at(k)
+        events = pairs_at(ctx, k)
         if instant:
             gains += _step_instant(ctx, events, holds, a, b, t, k, seed, gamma_sum[:, t, 0])
         else:

@@ -312,6 +312,27 @@ def test_malformed_plan_is_a_dependency_error(tmp_path, capsys, edit, line):
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("alpha_samples.csv", lambda text: text.replace("\n0,1,", "\n0,1,abc", 1)),
+    ("alpha_samples.csv", lambda text: text.rsplit(",", 1)[0]),     # last row cut short
+    ("verdict.json", lambda text: text[:len(text) // 2]),
+])
+def test_malformed_evaluation_is_a_dependency_error(tmp_path, capsys, name, edit):
+    path = str(write_config(tmp_path))
+    out = tmp_path / "run"
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", path, "--out", str(out)]) == EXIT_OK
+    ones = np.ones((grid_from_json((out / "grid.json").read_text()).num_links, 2))
+    write_table(out / "plan.csv", {"a": ones, "b": ones, "s": ones})
+    assert main(["evaluate", "--config", path, "--out", str(out)]) == EXIT_OK
+    target = out / name
+    target.write_text(edit(target.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--config", path, "--out", str(out)]) == EXIT_DEPENDENCY
+    assert f"{target}: malformed" in capsys.readouterr().err
+    assert not (out / "report").exists()
+
+
 def test_zoi_link_outside_the_grid_is_a_config_error(tmp_path, capsys):
     path = str(write_config(tmp_path, {"request": {"zoi": [2, 999]}}))
     out = str(tmp_path / "run")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from floatsim import (ChannelModel, ContactEvent, ContactTable, NodeTrack, SimContext,
                       TrajectorySet, all_on, detect_contacts, gen_random_schemes,
                       mobility_features)
-from floatsim.mobility import interval_of_tick, interval_ticks
+from floatsim.mobility import _contact_degree, interval_of_tick, interval_ticks
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,9 @@ def test_table_rejects_mismatched_distances():
 # ---------------------------------------------------------------------------
 
 def _old_contact_slices(contacts, sim_ticks):
-    """SimContext's per-tick contact slices as built from a list of events."""
-    c_tick = np.concatenate([np.arange(e.start, e.end + 1) for e in contacts])
+    """SimContext's per-tick contact slices as built from a list of events:
+    the events of tick k are ct_event[ct_bounds[k]:ct_bounds[k + 1]]."""
+    c_tick = np.array([k for e in contacts for k in range(e.start, e.end + 1)], dtype=np.int64)
     c_event = np.repeat(np.arange(len(contacts)), [e.num_ticks for e in contacts])
     keep = c_tick < sim_ticks
     c_tick, c_event = c_tick[keep], c_event[keep]
@@ -285,8 +286,70 @@ def _old_contact_slices(contacts, sim_ticks):
     return c_event[order], np.searchsorted(c_tick[order], np.arange(sim_ticks + 1))
 
 
+def _old_degree(traj, contacts):
+    """Per-sample contact counts as `mobility_features` built them: one
+    (event, tick) row per contact-tick, counted by bincount per endpoint."""
+    length = contacts.num_ticks
+    event = np.repeat(np.arange(len(contacts), dtype=np.int64), length)
+    tick = np.arange(len(contacts.dist), dtype=np.int64) + np.repeat(
+        contacts.start - contacts.off, length)
+    row_i = traj.first[contacts.i[event]] + tick - traj.enter[contacts.i[event]]
+    row_j = traj.first[contacts.j[event]] + tick - traj.enter[contacts.j[event]]
+    return (np.bincount(row_i, minlength=len(traj.link))
+            + np.bincount(row_j, minlength=len(traj.link)))
+
+
+def assert_old_contact_slices(ctx, contacts):
+    ct_event, ct_bounds = _old_contact_slices(list(contacts), ctx.sim_ticks)
+    assert ctx.ct_bounds.dtype == np.int64
+    assert ctx.ct_bounds.tolist() == ct_bounds.tolist()
+    ticks = list(ctx.open_events())
+    assert len(ticks) == ctx.sim_ticks
+    for k, events in enumerate(ticks):
+        assert events.dtype == np.int64, k
+        assert events.tolist() == ct_event[ct_bounds[k]:ct_bounds[k + 1]].tolist(), k
+
+
+@st.composite
+def contact_tables(draw):
+    """(trajectory set, contact table, sim_ticks): random events between
+    tracks while both are present, sorted by (start, i, j).  Events may be
+    one tick long and may start or end past the simulated ticks or the
+    horizon; a table may be empty."""
+    traj = draw(trajectory_sets())
+    sim_ticks = draw(st.integers(1, traj.horizon))
+    rows = []
+    for _ in range(draw(st.integers(0, 12)) if traj.num_tracks >= 2 else 0):
+        a, b = sorted(draw(st.lists(st.integers(0, traj.num_tracks - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        lo = int(max(traj.enter[a], traj.enter[b]))
+        hi = int(min(traj.exit[a], traj.exit[b]))
+        if lo <= hi:
+            start = draw(st.integers(lo, hi))
+            end = draw(st.one_of(st.just(start), st.integers(start, hi)))
+            rows.append((start, a, b, end))
+    rows.sort()
+    length = sum(end - start + 1 for start, _, _, end in rows)
+    dist = draw(st.lists(st.floats(0.0, R), min_size=length, max_size=length))
+    cols = [np.array([row[c] for row in rows], dtype=np.int64) for c in range(4)]
+    return traj, ContactTable(cols[1], cols[2], cols[0], cols[3], dist), sim_ticks
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(contact_tables())
+@example((TrajectorySet(tick=1.0, horizon=4), ContactTable.empty(), 4))
+def test_open_events_and_degree_match_contact_tick_expansion(grid, spec):
+    traj, table, sim_ticks = spec
+    ch = ChannelModel(1.0e6, 5.0, 3.0, R, mode="instantaneous")
+    ctx = SimContext(grid, traj, table, ch, [float(sim_ticks)])
+    assert_old_contact_slices(ctx, table)
+    degree = _contact_degree(traj, table)
+    assert degree.dtype == np.int64
+    assert degree.tolist() == _old_degree(traj, table).tolist()
+
+
 CTX_ARRAYS = ("enter", "exit", "offset", "sample_link", "pt_track", "pt_link", "pt_bounds",
-              "ev_start", "ev_end", "ev_i", "ev_j", "ev_off", "ev_dist", "ct_event",
+              "ev_start", "ev_end", "ev_i", "ev_j", "ev_off", "ev_dist", "ev_bounds",
               "ct_bounds")
 
 
@@ -310,9 +373,7 @@ def test_context_from_table_or_list_is_identical(grid, desk_traj, desk_contacts,
     b = SimContext(grid, desk_traj, list(desk_contacts), ch, d_t)
     for name in CTX_ARRAYS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    ct_event, ct_bounds = _old_contact_slices(list(desk_contacts), a.sim_ticks)
-    np.testing.assert_array_equal(a.ct_event, ct_event)
-    np.testing.assert_array_equal(a.ct_bounds, ct_bounds)
+    assert_old_contact_slices(a, desk_contacts)
     schemes = [all_on(grid.num_links, 2)] + gen_random_schemes(2, grid.num_links, 2, 4, "iid")
     for k, sc in enumerate(schemes):
         x = a.run(sc, zoi=(0, 1, 2), seed=k, record_holders=True)
@@ -320,3 +381,8 @@ def test_context_from_table_or_list_is_identical(grid, desk_traj, desk_contacts,
         for field in ("n", "n_c", "gamma", "v", "seeded", "dropped", "alpha"):
             np.testing.assert_array_equal(getattr(x, field), getattr(y, field), err_msg=field)
         assert x.holder_history == y.holder_history
+
+
+def test_contact_events_must_be_in_start_order():
+    with pytest.raises(ValueError, match="start order"):
+        ContactTable([0, 0], [1, 2], [3, 2], [3, 2], np.zeros(2))
