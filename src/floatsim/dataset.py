@@ -39,13 +39,10 @@ class TrainingPair:
     m: MobilityFeatures
     scheme: FcScheme
     c: CommFeatures
-    provenance: str            # "simulated" | "measured"
     scenario: str
     seed: int
 
     def __post_init__(self):
-        if self.provenance not in ("simulated", "measured"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.m.shape != self.scheme.shape or self.m.shape != self.c.shape:
             raise ValueError("mobility, scheme and communication shapes differ")
 
@@ -169,7 +166,7 @@ def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcSche
     run_seeds = [derive_seed(seed, 301, k) for k in range(len(schemes))]
     outs = ctx.run_many(schemes, run_seeds)
     return [TrainingPair(m=m, scheme=scheme, c=CommFeatures(out.n_c, out.gamma),
-                         provenance="simulated", scenario=scenario, seed=run_seed)
+                         scenario=scenario, seed=run_seed)
             for scheme, run_seed, out in zip(schemes, run_seeds, outs)]
 
 
@@ -210,8 +207,7 @@ def load_dataset(directory) -> tuple[list[TrainingPair], dict]:
             n=n, lam=lam, tau=tau, nu=nu, empty=n == 0, d_t=d_t))
         pairs.append(TrainingPair(
             m=m, scheme=FcScheme(a, b, s),
-            c=CommFeatures(n_c, gamma[:, :, None]),
-            provenance="simulated", scenario=scenario, seed=run_seed))
+            c=CommFeatures(n_c, gamma[:, :, None]), scenario=scenario, seed=run_seed))
     return pairs, manifest
 
 

@@ -61,8 +61,8 @@ class ChannelModel:
             raise ValueError("bandwidth must be positive")
         if self.path_loss_exp < 2:
             raise ValueError("path-loss exponent must be >= 2")
-        if self.radius_m <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius_m < math.inf:
+            raise ValueError(f"radius must be positive and finite, not {self.radius_m}")
         if self.mode not in ("capacity", "instantaneous"):
             raise ValueError(f"unknown transfer mode {self.mode!r}")
         self.edge_sinr = 10.0 ** (self.edge_sinr_db / 10.0)
@@ -175,7 +175,7 @@ class SimContext:
         self.boundary_of_tick[boundaries] = np.arange(self.T)
 
         self.enter, self.exit, self.offset = traj.enter, traj.exit, traj.first
-        self.sample_base = self.offset - self.enter     # track's sample at tick k: base + k
+        self.sample_base = traj.sample_base
         self.sample_link = traj.link
         s_track, s_tick = traj.sample_index()
 
@@ -212,7 +212,6 @@ class SimContext:
         # event's start and -1 after its end, clipped to the simulated ticks)
         self.ev_start, self.ev_end = contacts.start, contacts.end
         self.ev_i, self.ev_j = contacts.i, contacts.j
-        self.ev_off, self.ev_dist = contacts.off, contacts.dist
         self.ev_bounds = np.searchsorted(self.ev_start, np.arange(self.sim_ticks + 1))
         live = self.ev_start < self.sim_ticks
         open_now = np.cumsum(
@@ -456,13 +455,14 @@ class SimContext:
 
     def _tick_bits(self, events: np.ndarray, k: int) -> np.ndarray:
         """Bits a transfer over each contact event moves in tick k: the
-        scalar `_rate` times the tick, once per distinct contact-tick.
+        scalar `_rate` times the tick, once per distinct event (an event has
+        one contact-tick at k), at the distance recomputed from positions.
         NumPy's vectorised power and log2 may differ from the scalar ones in
         the last bit."""
-        cell, inverse = np.unique(self.ev_off[events] + (k - self.ev_start[events]),
-                                  return_inverse=True)
+        cell, inverse = np.unique(events, return_inverse=True)
+        dist = self.traj.distance(self.ev_i[cell], self.ev_j[cell], k)
         ch, tick = self.channel, self.tick
-        return np.array([_rate(ch, d) * tick for d in self.ev_dist[cell].tolist()])[inverse]
+        return np.array([_rate(ch, d) * tick for d in dist.tolist()])[inverse]
 
     def _step_capacity(self, xfer: "_Transfers", events, holds, A, B, t, k, keys,
                        gamma_t) -> tuple[np.ndarray, "_Transfers"]:

@@ -79,6 +79,7 @@ class TrajectorySet:
         self.enter = np.array([tr.enter_tick for tr in tracks], dtype=np.int64)
         self.exit = self.enter + lens - 1
         self.first = np.cumsum(lens) - lens
+        self.sample_base = self.first - self.enter      # track's sample at tick k: base + k
         self.pos = np.concatenate([tr.pos for tr in tracks] or [np.zeros((0, 2))], dtype=float)
         self.speed = np.concatenate([tr.speed for tr in tracks] or [np.zeros(0)], dtype=float)
         self.link = np.concatenate([tr.link for tr in tracks] or [np.zeros(0, np.int64)],
@@ -99,68 +100,62 @@ class TrajectorySet:
                                                                      lens)
         return track, tick
 
+    def distance(self, a, b, k) -> np.ndarray:
+        """Distance in meters between tracks a and b at tick k, elementwise,
+        for ticks where both are present.  It is sqrt(dx*dx + dy*dy) as
+        `detect_contacts` computes it; a - b is exactly -(b - a), so it is
+        bit for bit the distance detection tested against the radius."""
+        d = self.pos[self.sample_base[a] + k] - self.pos[self.sample_base[b] + k]
+        d *= d
+        return np.sqrt(d[..., 0] + d[..., 1])
 
-@dataclass(eq=False)
+
+@dataclass
 class ContactEvent:
     """Maximal run of ticks during which a track pair stays within range."""
     i: int               # track index, i < j
     j: int
     start: int           # tick (inclusive)
     end: int             # tick (inclusive)
-    dist: np.ndarray     # (end - start + 1,) meters
 
     @property
     def num_ticks(self) -> int:
         return self.end - self.start + 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ContactEvent):
-            return NotImplemented
-        return ((self.i, self.j, self.start, self.end)
-                == (other.i, other.j, other.start, other.end)
-                and np.array_equal(self.dist, other.dist))
 
 
 class ContactTable(Sequence):
     """Contact episodes as columns, sorted by (start, i, j).
 
     Row e is the episode of track pair (i[e], j[e]), i < j, over ticks
-    start[e]..end[e]; its per-tick distances are
-    dist[off[e]:off[e] + end[e] - start[e] + 1].  dist is the only column
-    with a row per contact-tick; every other column has a row per event.
-    Indexing and iteration give ContactEvent row views, and a table equals
-    any table or list holding the same events, so it stands in for a list of
-    events.
+    start[e]..end[e].  Every column has a row per event; nothing is stored
+    per contact-tick, since `TrajectorySet.distance` recomputes a pair's
+    distance at any tick from the positions.  Indexing and iteration give
+    ContactEvent row views, and a table equals any table or list holding the
+    same events, so it stands in for a list of events.
     """
 
-    def __init__(self, i, j, start, end, dist):
+    def __init__(self, i, j, start, end):
         self.i = np.asarray(i, dtype=np.int64)
         self.j = np.asarray(j, dtype=np.int64)
         self.start = np.asarray(start, dtype=np.int64)
         self.end = np.asarray(end, dtype=np.int64)
-        self.dist = np.asarray(dist, dtype=float)
-        length = self.end - self.start + 1
-        self.off = np.cumsum(length) - length
-        if len(self.dist) != int(length.sum()):
-            raise ValueError(f"{len(self.dist)} distances for {int(length.sum())} contact-ticks")
+        if not len(self.i) == len(self.j) == len(self.start) == len(self.end):
+            raise ValueError("contact columns i, j, start and end differ in length")
         if np.any(self.start[1:] < self.start[:-1]):
             raise ValueError("contact events must be in ascending start order")
 
     @classmethod
     def empty(cls) -> "ContactTable":
         none = np.zeros(0, dtype=np.int64)
-        return cls(none, none, none, none, np.zeros(0))
+        return cls(none, none, none, none)
 
     @classmethod
     def of(cls, contacts) -> "ContactTable":
         """The table itself, or the table of a sequence of ContactEvents."""
         if isinstance(contacts, ContactTable):
             return contacts
-        if not len(contacts):
-            return cls.empty()
         return cls([e.i for e in contacts], [e.j for e in contacts],
-                   [e.start for e in contacts], [e.end for e in contacts],
-                   np.concatenate([e.dist for e in contacts]))
+                   [e.start for e in contacts], [e.end for e in contacts])
 
     @property
     def num_ticks(self) -> np.ndarray:
@@ -175,26 +170,24 @@ class ContactTable(Sequence):
         if not -len(self) <= e < len(self):
             raise IndexError(f"event {e} out of range for {len(self)} events")
         e = int(e) % len(self)
-        start, end, lo = int(self.start[e]), int(self.end[e]), int(self.off[e])
-        return ContactEvent(int(self.i[e]), int(self.j[e]), start, end,
-                            self.dist[lo:lo + end - start + 1])
+        return ContactEvent(int(self.i[e]), int(self.j[e]), int(self.start[e]),
+                            int(self.end[e]))
 
     def __iter__(self):
-        dist = self.dist
-        for i, j, s, e, lo in zip(self.i.tolist(), self.j.tolist(), self.start.tolist(),
-                                  self.end.tolist(), self.off.tolist()):
-            yield ContactEvent(i, j, s, e, dist[lo:lo + e - s + 1])
+        for row in zip(self.i.tolist(), self.j.tolist(), self.start.tolist(),
+                       self.end.tolist()):
+            yield ContactEvent(*row)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ContactTable):
             return all(np.array_equal(getattr(self, c), getattr(other, c))
-                       for c in ("i", "j", "start", "end", "dist"))
+                       for c in ("i", "j", "start", "end"))
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"ContactTable({len(self)} events, {len(self.dist)} contact-ticks)"
+        return f"ContactTable({len(self)} events, {int(self.num_ticks.sum())} contact-ticks)"
 
 
 @dataclass
@@ -444,7 +437,7 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
 # contacts
 # ---------------------------------------------------------------------------
 
-# candidate pairs screened, or contact-ticks encoded, at once: bounds the
+# candidate pairs screened at once, in blocks of whole ticks: bounds the
 # temporary memory of detection
 _SWEEP_BLOCK = 1 << 16
 
@@ -454,17 +447,24 @@ def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
 
     A sweep over x: per tick, samples sorted by x are paired with the
     following samples less than about r farther along x; the pair is in
-    range when sqrt(dx*dx + dy*dy) <= r.  The in-range (pair, tick) rows
-    are then run-length encoded into episodes.  Ticks outside
-    0..horizon-1 are ignored.
+    range when sqrt(dx*dx + dy*dy) <= r.  Ticks outside 0..horizon-1 are
+    ignored.  The sweep runs in blocks of whole ticks, each of about
+    _SWEEP_BLOCK candidate pairs (at least one tick).  A block's in-range
+    (pair, tick) rows are run-length encoded into runs; a run that starts
+    at the block's first tick continues the episode its pair had open at
+    the previous block's last tick, and every other run opens an episode.
+    Episodes are numbered as they open, in (start, i, j) order, so the table
+    needs no global sort, and no array with a row per contact-tick outlives
+    its block.
     """
-    if r <= 0:
-        raise ValueError("contact radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"contact radius must be positive and finite, not {r}")
     track, tick = traj.sample_index()
     inside = (tick >= 0) & (tick < traj.horizon)
     track, tick, x, y = track[inside], tick[inside], traj.pos[inside, 0], traj.pos[inside, 1]
     order = np.lexsort((x, tick))
     track, tick, x, y = track[order], tick[order], x[order], y[order]
+    del inside, order
 
     # reach[p]: end of the x window of sample p within its tick.  The slack
     # keeps every pair whose rounded distance is <= r inside the window;
@@ -476,65 +476,77 @@ def detect_contacts(traj: TrajectorySet, r: float) -> ContactTable:
     for k in range(traj.horizon):
         lo, hi = bounds[k], bounds[k + 1]
         reach[lo:hi] = lo + np.searchsorted(x[lo:hi], limit[lo:hi], side="right")
+    del limit
     fan = reach - np.arange(n) - 1               # partners after p in its window
+    del reach
     cum = np.concatenate([[0], np.cumsum(fan)])
+    before = cum[bounds]                         # candidates before each tick
 
-    # one int64 key per in-range (pair, tick): (i * N + j) * (horizon + 1) + tick,
-    # so sorting the keys sorts by (i, j, tick) and a key one above its
-    # predecessor continues the same episode
+    # one int64 key per in-range (pair, tick): pair * (horizon + 1) + tick,
+    # with pair = i * N + j, so sorting a block's keys sorts by (i, j, tick)
+    # and a key one above its predecessor continues the same run
     n_tracks, stride = traj.num_tracks, traj.horizon + 1
     if n_tracks * n_tracks * stride >= 2 ** 63:
         raise ValueError(f"{n_tracks} tracks over {traj.horizon} ticks overflow the pair key")
-    keys, dists = [], []
-    a = 0
-    while a < n:
-        b = max(int(np.searchsorted(cum, cum[a] + _SWEEP_BLOCK, side="right")) - 1, a + 1)
+    i_chunks, j_chunks, start_chunks = [], [], []
+    end = np.zeros(0, dtype=np.int64)            # by event id, grown as events open
+    n_ev = 0
+    # pairs in range at the previous block's last tick, ascending, with their
+    # events; the sentinel pair id N * N is above every pair
+    open_pair, open_ev = np.array([n_tracks * n_tracks]), np.zeros(0, dtype=np.int64)
+    k0 = 0
+    while k0 < traj.horizon:
+        k1 = max(int(np.searchsorted(before, before[k0] + _SWEEP_BLOCK, side="right")) - 1,
+                 k0 + 1)
+        a, b = bounds[k0], bounds[k1]
+        # candidate c pairs sample p with sample q = p + 1 + c - cum[p]
         p = np.repeat(np.arange(a, b), fan[a:b])
-        q = p + 1 + np.arange(len(p)) - np.repeat(cum[a:b] - cum[a], fan[a:b])
+        q = np.arange(cum[a], cum[b]) + np.repeat(np.arange(a + 1, b + 1) - cum[a:b], fan[a:b])
         dx = x[q] - x[p]
         dy = y[q] - y[p]
-        d = np.sqrt(dx * dx + dy * dy)
-        hit = d <= r
+        dx *= dx
+        dy *= dy
+        dx += dy
+        hit = np.flatnonzero(np.sqrt(dx, out=dx) <= r)      # sqrt(dx*dx + dy*dy) <= r
         p, q = p[hit], q[hit]
         ti, tj = track[p], track[q]
-        keys.append((np.minimum(ti, tj) * n_tracks + np.maximum(ti, tj)) * stride + tick[p])
-        dists.append(d[hit])
-        a = b
-    # At most three 8-byte arrays with a row per contact-tick live at once:
-    # each is freed when used up, and the work on them is done in place or
-    # in blocks.  Only dist, in event order, outlives this function.
-    key = np.concatenate(keys) if keys else np.zeros(0, np.int64)
-    del keys
-    n_ct = len(key)
-    if not n_ct:
-        return ContactTable.empty()
-    dist = np.concatenate(dists)
-    del dists
-    order = np.argsort(key)                             # sorted row -> sweep row
-    key.sort()
-    head = np.ones(n_ct, dtype=bool)
-    for a in range(1, n_ct, _SWEEP_BLOCK):
-        b = min(a + _SWEEP_BLOCK, n_ct)
-        head[a:b] = key[a:b] != key[a - 1:b - 1] + 1
-    head = np.flatnonzero(head)
-    pair, start = np.divmod(key[head], stride)
-    del key
-    length = np.diff(head, append=n_ct)
-    ev = np.lexsort((pair, start))                      # by (start, i, j)
-    head, length, pair, start = head[ev], length[ev], pair[ev], start[ev]
-    # row[r]: the sorted row of contact-tick r in event order.  An event's
-    # rows run on from its head, so row is a cumsum of steps of 1 that jump
-    # to each head; composed with `order`, it gathers dist once.
-    row = np.ones(n_ct, dtype=np.int64)
-    row[np.cumsum(length) - length] = head - np.concatenate([[0], head[:-1] + length[:-1] - 1])
-    np.cumsum(row, out=row)
-    for a in range(0, n_ct, _SWEEP_BLOCK):
-        row[a:a + _SWEEP_BLOCK] = order[row[a:a + _SWEEP_BLOCK]]
-    del order
-    dist = dist[row]
-    del row
-    i, j = np.divmod(pair, n_tracks)
-    return ContactTable(i, j, start, start + length - 1, dist)
+        key = (np.minimum(ti, tj) * n_tracks + np.maximum(ti, tj)) * stride + tick[p]
+        key.sort()
+        head = np.flatnonzero(np.diff(key, prepend=-2) != 1)
+        pair, start = np.divmod(key[head], stride)
+        stop = start + np.diff(head, append=len(key)) - 1
+
+        # runs are in pair order, so those starting at k0 are sorted by pair
+        ev = np.full(len(pair), -1, dtype=np.int64)
+        first = np.flatnonzero(start == k0)
+        at = np.searchsorted(open_pair, pair[first])
+        going = open_pair[at] == pair[first]
+        ev[first[going]] = open_ev[at[going]]
+        new = np.flatnonzero(ev < 0)
+        new = new[np.lexsort((pair[new], start[new]))]          # by (start, i, j)
+        ev[new] = n_ev + np.arange(len(new))
+        n_ev += len(new)
+        i, j = np.divmod(pair[new], n_tracks)
+        i_chunks.append(i)
+        j_chunks.append(j)
+        start_chunks.append(start[new])
+        if len(end) < n_ev:
+            grown = np.empty(max(2 * len(end), n_ev), dtype=np.int64)
+            grown[:len(end)] = end
+            end = grown
+        end[ev] = stop
+        still = stop == k1 - 1
+        open_pair, open_ev = np.append(pair[still], n_tracks * n_tracks), ev[still]
+        k0 = k1
+
+    def joined(chunks):
+        # a column's chunks are freed once it is joined, before the next one
+        out = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+        chunks.clear()
+        return out
+
+    return ContactTable(joined(i_chunks), joined(j_chunks), joined(start_chunks),
+                        end[:n_ev].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +563,7 @@ def _contact_degree(traj: TrajectorySet, contacts: ContactTable) -> np.ndarray:
     size = len(traj.link) + 1
     step = np.zeros(size, dtype=np.int64)
     for track in (contacts.i, contacts.j):
-        base = traj.first[track] - traj.enter[track]       # sample of tick 0
+        base = traj.sample_base[track]
         step += np.bincount(base + contacts.start, minlength=size)
         step -= np.bincount(base + contacts.end + 1, minlength=size)
     return np.cumsum(step)[:-1]

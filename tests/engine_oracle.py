@@ -2,14 +2,17 @@
 
 `oracle_run(ctx, ...)` is the earlier `SimContext.run` with its seeding
 clamp, instantaneous step and capacity step, and `oracle_keyed_u01` is the
-earlier five-round keyed draw.  `link_at` and `dist_of` are the earlier
-scalar lookups of `SimContext`, and `pairs_at` finds the contact events
+earlier five-round keyed draw.  `link_at` is the earlier scalar link
+lookup of `SimContext`; `dist_of` recomputes a contact's distance from the
+positions of its tracks, on its own; and `pairs_at` finds the contact events
 open at a tick by scanning every event, where the engine keeps a running
-list.  They read only the precomputed arrays of a `SimContext`, so every
-batched outcome can be compared with them bit for bit.
+list.  They read only a `SimContext`'s precomputed arrays and trajectories,
+so every batched outcome can be compared with them bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,8 +43,11 @@ def link_at(ctx, track: int, k: int) -> int:
 
 
 def dist_of(ctx, event: int, k: int) -> float:
-    """Distance of contact event `event` at tick k."""
-    return float(ctx.ev_dist[ctx.ev_off[event] + (k - ctx.ev_start[event])])
+    """Distance of contact event `event` at tick k, from the positions of its
+    two tracks (the engine recomputes it the same way, so bit for bit)."""
+    a, b = (ctx.traj.tracks[int(t)] for t in (ctx.ev_i[event], ctx.ev_j[event]))
+    dx, dy = a.pos[k - a.enter_tick] - b.pos[k - b.enter_tick]
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def pairs_at(ctx, k: int) -> np.ndarray:

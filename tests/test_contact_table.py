@@ -3,8 +3,9 @@ and the trajectory columns against the tracks they are built from.
 
 `oracle_detect_contacts` and `oracle_mobility_features` are the earlier
 list-of-events implementations, kept as references: the sweep must produce
-the same events with bit-identical distances, and the features computed
-from its columns must be bit-identical too.
+the same events, the distances `TrajectorySet.distance` recomputes over
+each event must be bit for bit the oracle's per-tick distances, and the
+features computed from the table's columns must be bit-identical too.
 """
 
 import numpy as np
@@ -32,13 +33,14 @@ def _presence_index(traj):
 
 
 def oracle_detect_contacts(traj, r):
+    """(event, per-tick distances) of every episode, by (start, i, j)."""
     present = _presence_index(traj)
     open_runs = {}
     events = []
 
     def close(pair, run):
         ticks, dists = run
-        events.append(ContactEvent(pair[0], pair[1], ticks[0], ticks[-1], np.array(dists)))
+        events.append((ContactEvent(pair[0], pair[1], ticks[0], ticks[-1]), np.array(dists)))
 
     for k in range(traj.horizon):
         ids = present[k]
@@ -66,7 +68,7 @@ def oracle_detect_contacts(traj, r):
             close(p, open_runs.pop(p))
     for p in sorted(open_runs):
         close(p, open_runs.pop(p))
-    events.sort(key=lambda e: (e.start, e.i, e.j))
+    events.sort(key=lambda e: (e[0].start, e[0].i, e[0].j))
     return events
 
 
@@ -105,12 +107,18 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def assert_same_events(table, events):
-    assert table == events
-    assert len(table) == len(events)
-    for got, want in zip(table, events):
+def event_distances(traj, ev):
+    """Per-tick distances of a contact event, recomputed from the positions
+    by the helper the capacity engine uses."""
+    return traj.distance(ev.i, ev.j, np.arange(ev.start, ev.end + 1))
+
+
+def assert_same_events(table, traj, oracle):
+    assert table == [want for want, _ in oracle]
+    assert len(table) == len(oracle)
+    for got, (want, dist) in zip(table, oracle):
         assert (got.i, got.j, got.start, got.end) == (want.i, want.j, want.start, want.end)
-        np.testing.assert_array_equal(_bits(got.dist), _bits(want.dist))
+        np.testing.assert_array_equal(_bits(event_distances(traj, got)), _bits(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def test_columns_hold_the_tracks_in_order(spec):
 def test_sweep_matches_pair_loop(traj):
     table = detect_contacts(traj, R)
     assert isinstance(table, ContactTable)
-    assert_same_events(table, oracle_detect_contacts(traj, R))
+    assert_same_events(table, traj, oracle_detect_contacts(traj, R))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -224,12 +232,13 @@ def test_pair_at_exactly_range_and_resumed_contact():
         NodeTrack(1, 0, b, np.zeros(5), np.zeros(5, np.int64))])
     table = detect_contacts(traj, R)
     assert [(e.i, e.j, e.start, e.end) for e in table] == [(0, 1, 0, 1), (0, 1, 3, 4)]
-    np.testing.assert_array_equal(table.dist, [R] * 4)
-    assert_same_events(table, oracle_detect_contacts(traj, R))
+    np.testing.assert_array_equal(np.concatenate([event_distances(traj, e) for e in table]),
+                                  [R] * 4)
+    assert_same_events(table, traj, oracle_detect_contacts(traj, R))
 
 
 def test_desk_contacts_match_pair_loop(desk_traj, desk_contacts):
-    assert_same_events(desk_contacts, oracle_detect_contacts(desk_traj, 100.0))
+    assert_same_events(desk_contacts, desk_traj, oracle_detect_contacts(desk_traj, 100.0))
 
 
 def test_desk_features_bit_identical(grid, desk_traj, desk_contacts):
@@ -257,18 +266,19 @@ def test_table_behaves_like_event_list(desk_contacts):
     assert desk_contacts == ContactTable.of(events)
     assert desk_contacts[-1].start == events[-1].start
     e = desk_contacts[3]
-    assert e.dist.base is desk_contacts.dist              # a view, not a copy
-    assert len(e.dist) == e.num_ticks
-    assert sum(ev.end - ev.start + 1 for ev in desk_contacts) == len(desk_contacts.dist)
+    assert e == ContactEvent(*(int(getattr(desk_contacts, c)[3])
+                               for c in ("i", "j", "start", "end")))
+    assert e.num_ticks == desk_contacts.num_ticks[3]
+    assert sum(ev.num_ticks for ev in desk_contacts) == desk_contacts.num_ticks.sum()
     assert desk_contacts != events[:-1]
     with pytest.raises(IndexError):
         desk_contacts[len(desk_contacts)]
     assert ContactTable.empty() == [] and ContactTable.of([]) == ContactTable.empty()
 
 
-def test_table_rejects_mismatched_distances():
-    with pytest.raises(ValueError):
-        ContactTable([0], [1], [0], [2], np.zeros(2))
+def test_table_rejects_mismatched_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        ContactTable([0], [1], [0, 1], [2])
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +301,9 @@ def _old_degree(traj, contacts):
     (event, tick) row per contact-tick, counted by bincount per endpoint."""
     length = contacts.num_ticks
     event = np.repeat(np.arange(len(contacts), dtype=np.int64), length)
-    tick = np.arange(len(contacts.dist), dtype=np.int64) + np.repeat(
-        contacts.start - contacts.off, length)
+    off = np.cumsum(length) - length
+    tick = np.arange(int(length.sum()), dtype=np.int64) + np.repeat(contacts.start - off,
+                                                                     length)
     row_i = traj.first[contacts.i[event]] + tick - traj.enter[contacts.i[event]]
     row_j = traj.first[contacts.j[event]] + tick - traj.enter[contacts.j[event]]
     return (np.bincount(row_i, minlength=len(traj.link))
@@ -329,10 +340,8 @@ def contact_tables(draw):
             end = draw(st.one_of(st.just(start), st.integers(start, hi)))
             rows.append((start, a, b, end))
     rows.sort()
-    length = sum(end - start + 1 for start, _, _, end in rows)
-    dist = draw(st.lists(st.floats(0.0, R), min_size=length, max_size=length))
     cols = [np.array([row[c] for row in rows], dtype=np.int64) for c in range(4)]
-    return traj, ContactTable(cols[1], cols[2], cols[0], cols[3], dist), sim_ticks
+    return traj, ContactTable(cols[1], cols[2], cols[0], cols[3]), sim_ticks
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -349,8 +358,7 @@ def test_open_events_and_degree_match_contact_tick_expansion(grid, spec):
 
 
 CTX_ARRAYS = ("enter", "exit", "offset", "sample_link", "pt_track", "pt_link", "pt_bounds",
-              "ev_start", "ev_end", "ev_i", "ev_j", "ev_off", "ev_dist", "ev_bounds",
-              "ct_bounds")
+              "ev_start", "ev_end", "ev_i", "ev_j", "ev_bounds", "ct_bounds")
 
 
 def test_context_reads_the_trajectory_columns(grid, desk_traj, desk_contacts,
@@ -385,4 +393,4 @@ def test_context_from_table_or_list_is_identical(grid, desk_traj, desk_contacts,
 
 def test_contact_events_must_be_in_start_order():
     with pytest.raises(ValueError, match="start order"):
-        ContactTable([0, 0], [1, 2], [3, 2], [3, 2], np.zeros(2))
+        ContactTable([0, 0], [1, 2], [3, 2], [3, 2])

@@ -146,16 +146,12 @@ def test_measured_pairs_merge_with_simulated(small_pairs):
     pairs, _, _ = small_pairs
     p = pairs[0]
     from floatsim.dataset import TrainingPair
-    measured = TrainingPair(m=p.m, scheme=p.scheme, c=p.c, provenance="measured",
-                            scenario="live", seed=0)
+    measured = TrainingPair(m=p.m, scheme=p.scheme, c=p.c, scenario="live", seed=0)
     merged = pairs + [measured]
     norm = fit_normalizer(merged)
     labels = feasibility_labels(merged, [0, 1], 0.5)
     assert labels.shape == (len(merged) * 2,)
     assert norm.scale.shape == (4,)
-    with pytest.raises(ValueError):
-        TrainingPair(m=p.m, scheme=p.scheme, c=p.c, provenance="guessed",
-                     scenario="live", seed=0)
 
 
 def test_feasibility_labels_extremes(grid, small_pairs):

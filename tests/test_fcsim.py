@@ -31,6 +31,12 @@ def test_capacity_limits_and_errors(instant_channel):
         capacity(instant_channel, -5.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -5.0, float("nan"), float("inf")])
+def test_channel_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChannelModel(1.0e6, 5.0, 3.0, radius)
+
+
 def test_capacity_cap_near_zero_distance(instant_channel):
     # SINR capped at 30 dB: capacity stops growing as d -> 0
     assert capacity(instant_channel, 1e-6) == pytest.approx(

@@ -216,7 +216,7 @@ def test_contact_parked_pair_within_range(grid):
     assert len(events) == 1
     ev = events[0]
     assert (ev.start, ev.end) == (0, 39)
-    assert np.allclose(ev.dist, 50.0)
+    assert np.allclose(traj.distance(ev.i, ev.j, np.arange(ev.start, ev.end + 1)), 50.0)
 
 
 def test_no_contact_beyond_range(grid):
@@ -224,6 +224,15 @@ def test_no_contact_beyond_range(grid):
     traj = make_traj(grid, [(0, 0, mid - [75.0, 0.0]), (1, 0, mid + [75.0, 0.0])],
                      horizon=10)
     assert detect_contacts(traj, 100.0) == []
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_contact_radius_must_be_positive_and_finite(grid, r):
+    # an infinite radius would make every pair of a tick a candidate
+    mid = np.array(grid.links[0].midpoint)
+    traj = make_traj(grid, [(0, 0, mid), (1, 0, mid + [10.0, 0.0])], horizon=3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        detect_contacts(traj, r)
 
 
 def test_head_on_pass_contact_duration(grid):
@@ -243,17 +252,16 @@ def test_head_on_pass_contact_duration(grid):
 
 
 def test_multi_tick_contact_events_compare_by_value():
-    a = ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0]))
-    assert a == ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0]))
-    assert a != ContactEvent(0, 1, 0, 1, np.array([1.0, 2.5]))
-    assert a != ContactEvent(0, 2, 0, 1, np.array([1.0, 2.0]))
-    assert a != ContactEvent(0, 1, 1, 2, np.array([1.0, 2.0]))
+    a = ContactEvent(0, 1, 0, 1)
+    assert a == ContactEvent(0, 1, 0, 1)
+    assert a != ContactEvent(0, 1, 0, 2)
+    assert a != ContactEvent(0, 2, 0, 1)
+    assert a != ContactEvent(0, 1, 1, 2)
     assert a != "not an event"
-    b = ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.0]))
-    same = [ContactEvent(0, 1, 0, 1, np.array([1.0, 2.0])),
-            ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.0]))]
+    b = ContactEvent(2, 3, 4, 6)
+    same = [ContactEvent(0, 1, 0, 1), ContactEvent(2, 3, 4, 6)]
     assert [a, b] == same
-    assert [a, b] != [a, ContactEvent(2, 3, 4, 6, np.array([5.0, 6.0, 7.5]))]
+    assert [a, b] != [a, ContactEvent(2, 3, 4, 7)]
     assert ContactTable.of([a, b]) == same
     assert ContactTable.of([a, b]) != [b, a]
 
@@ -262,8 +270,7 @@ def test_contacts_symmetric_and_disjoint(desk_traj, desk_contacts):
     seen = {}
     for ev in desk_contacts:
         assert ev.i < ev.j
-        assert len(ev.dist) == ev.num_ticks
-        assert np.all(ev.dist <= 100.0)
+        assert np.all(desk_traj.distance(ev.i, ev.j, np.arange(ev.start, ev.end + 1)) <= 100.0)
         for k in range(ev.start, ev.end + 1):
             key = (ev.i, ev.j, k)
             assert key not in seen, "overlapping events for one pair"
