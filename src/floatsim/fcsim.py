@@ -17,6 +17,7 @@ infrastructure seeding and downward adjustments free.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -80,20 +81,34 @@ def capacity(ch: ChannelModel, d: float) -> float:
     return _rate(ch, d)
 
 
-def _trial(prefix, p, id_a, id_b, tick) -> np.ndarray:
-    """u < p for the keyed draws u = keyed_u01_at(prefix, id_a, id_b, tick),
-    drawn only where 0 < p < 1: u lies in [0, 1), so elsewhere the outcome
-    does not depend on it.  prefix and p are per row; ids are per row or
-    scalar."""
+# ticks between fills of a batch's per-track key tables: each fill hashes
+# the tracks entering before the next, so the tables hold, beyond the most
+# tracks present at once, a row for each track arriving in that many ticks
+_FILL_TICKS = 32
+
+
+def _trial(p, keys, cell, ids, tick) -> np.ndarray:
+    """u < p for keyed draws u, drawn only where 0 < p < 1: u lies in [0, 1),
+    so elsewhere the outcome does not depend on it.  Row r's key is the
+    partial key keys[cell[r]], chained with ids[r] (unless ids is None) and
+    the tick."""
     hit = p >= 1.0
     unsure = np.flatnonzero((p > 0.0) & ~hit)
-    if len(unsure) == len(p):
-        return rng.keyed_u01_at(prefix, id_a, id_b, tick) < p
     if len(unsure):
-        hit[unsure] = rng.keyed_u01_at(prefix[unsure], id_a[unsure],
-                                       id_b[unsure] if np.ndim(id_b) else id_b,
-                                       tick) < p[unsure]
+        h = keys[cell[unsure]]
+        if ids is not None:
+            h = rng.chain(h, ids[unsure])
+        hit[unsure] = rng.u01(rng.chain(h, tick)) < p[unsure]
     return hit
+
+
+def _first(seen: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Mask of one row per distinct value of cell, through the work array
+    `seen` (indexed by cell).  Every entry read here was written just
+    before, so `seen` needs no reset between calls."""
+    rows = np.arange(len(cell))
+    seen[cell] = rows
+    return seen[cell] == rows
 
 
 def _rate(ch: ChannelModel, d: float) -> float:
@@ -194,10 +209,11 @@ class SimContext:
 
         # per-tick movers: samples whose link differs from their track's
         # previous sample, the candidates of entry-keep trials
-        moved = (pt_tick > self.enter[self.pt_track]) & (
-            self.sample_link[np.maximum(order - 1, 0)] != self.pt_link)
+        prev_link = self.sample_link[np.maximum(order - 1, 0)]
+        moved = (pt_tick > self.enter[self.pt_track]) & (prev_link != self.pt_link)
         self.mv_track = self.pt_track[moved]
         self.mv_link = self.pt_link[moved]
+        self.mv_prev = prev_link[moved]
         self.mv_bounds = np.searchsorted(pt_tick[moved], np.arange(self.sim_ticks + 1))
 
         # departures: tracks by last tick, with the link they left from
@@ -205,6 +221,16 @@ class SimContext:
         self.exit_bounds = np.searchsorted(self.exit[self.exit_track],
                                            np.arange(self.sim_ticks + 1))
         self.exit_link = self.sample_link[self.offset + (self.exit - self.enter)]
+
+        # track slots: a batch's per-track tables take a row per (run, slot),
+        # filled at ticks m * _FILL_TICKS for the tracks entering before the
+        # next fill (see `_track_slots`): fill m takes the tracks
+        # enter_track[enter_bounds[m]:enter_bounds[m + 1]]
+        self.slot, self.n_slots = _track_slots(self.enter, self.exit, _FILL_TICKS)
+        self.enter_track = np.argsort(self.enter, kind="stable")
+        self.enter_bounds = np.concatenate([[0], np.searchsorted(
+            self.enter[self.enter_track],
+            np.arange(_FILL_TICKS, self.sim_ticks + _FILL_TICKS, _FILL_TICKS))])
 
         # contact events by start tick: the events that open at tick k are
         # ev_bounds[k]..ev_bounds[k+1]-1, and ct_bounds[k] counts the
@@ -254,11 +280,18 @@ class SimContext:
 
         Outcome r is bit-identical to a lone run of (schemes[r], seeds[r]):
         draws are keyed per run, the runs share only the presence and
-        contact slices of each tick, and every sum counts whole units.  In
+        contact slices of each tick, and every sum counts whole units.
+
+        A call hashes the heads its draws share once per (run, track) (see
+        `_Batch`), so a draw hashes only its remaining ids and the tick.
+        Holder counts per (run, link) are kept running: updated at
+        departures, entry-keep moves and drops, and gains, recounted after
+        the seeding clamp, and summed as the per-tick measurement.  In
         capacity mode one transfer table holds the multi-tick transfers of
         every run.  With debug_ledger, each tick checks every run's holder
-        count against its gains and losses, and the transfer table against
-        its invariants; a failure raises LedgerImbalanceError.
+        count against its gains and losses, the running counts against a
+        recount, and the transfer table against its invariants; a failure
+        raises LedgerImbalanceError.
         """
         schemes, seeds = list(schemes), list(seeds)
         if len(schemes) != len(seeds):
@@ -276,13 +309,10 @@ class SimContext:
 
         R, L, T = len(schemes), self.L, self.T
         n_tracks = self.traj.num_tracks
-        A = np.stack([sc.a for sc in schemes])
-        B = np.stack([sc.b for sc in schemes])
         S = np.stack([sc.s for sc in schemes])
-        keys = {kind: np.array([rng.key_prefix(sd, kind) for sd in seeds], dtype=np.uint64)
-                for kind in (rng.KIND_SEED_PRIORITY, rng.KIND_ENTRY_KEEP, rng.KIND_SEND,
-                             rng.KIND_RECV_KEEP, rng.KIND_PARTNER)}
+        bt = _Batch.build(schemes, seeds, self.n_slots, n_tracks, capacity=not instant)
         holds = np.zeros((R, n_tracks), dtype=bool)
+        counts = np.zeros((R, L), dtype=np.int64)   # holders per (run, link) at tick k
         nc_sum = np.zeros((R, L, T))
         gamma_sum = np.zeros((R, L, T))
         seeded = np.zeros((R, L, T), dtype=np.int64)
@@ -297,6 +327,11 @@ class SimContext:
         for k, events in enumerate(self.open_events()):
             t = int(self.ivl[k])
             tids, links = self.present_at(k)
+            bt.link[tids] = links
+            if k % _FILL_TICKS == 0:
+                m = k // _FILL_TICKS
+                bt.enter(self.enter_track[self.enter_bounds[m]:self.enter_bounds[m + 1]],
+                         self.slot)
             delta = np.zeros(R, dtype=np.int64)     # holder gains minus losses
 
             # departures: holders whose track ended at k-1 lose the content
@@ -305,7 +340,9 @@ class SimContext:
                 if len(gone):
                     run, col = np.nonzero(holds[:, gone])
                     if len(run):
-                        dropped[:, :, t] += self._count(run, self.exit_link[gone[col]], R)
+                        lost = self._count(run * L + self.exit_link[gone[col]], R)
+                        dropped[:, :, t] += lost
+                        counts -= lost
                         delta -= np.bincount(run, minlength=R)
                         holds[:, gone] = False
 
@@ -317,22 +354,26 @@ class SimContext:
                                                      0.0)
                 # the clamp owns boundary ticks: no entry-keep trials here
                 if len(tids):
-                    delta += self._seed_clamp(holds, tids, links, S[:, :, t], k,
-                                              keys[rng.KIND_SEED_PRIORITY],
+                    delta += self._seed_clamp(holds, counts, tids, links, S[:, :, t], k,
+                                              bt.prefix[rng.KIND_SEED_PRIORITY],
                                               seeded[:, :, t], dropped[:, :, t])
             else:
                 # entry-keep trials for holders that changed link this tick
                 lo, hi = self.mv_bounds[k], self.mv_bounds[k + 1]
                 if hi > lo:
-                    movers, mlinks = self.mv_track[lo:hi], self.mv_link[lo:hi]
+                    movers = self.mv_track[lo:hi]
                     run, col = np.nonzero(holds[:, movers])
                     if len(run):
-                        movers, mlinks = movers[col], mlinks[col]
-                        drop = ~_trial(keys[rng.KIND_ENTRY_KEEP][run], B[run, mlinks, t],
-                                       movers, 0, k)
-                        if drop.any():
+                        movers = movers[col]
+                        cell = run * L + self.mv_link[lo:hi][col]
+                        counts -= self._count(run * L + self.mv_prev[lo:hi][col], R)
+                        keep = _trial(bt.b[t][cell], bt.keys[rng.KIND_ENTRY_KEEP],
+                                      run * self.n_slots + self.slot[movers], None, k)
+                        counts += self._count(cell[keep], R)
+                        if not keep.all():
+                            drop = ~keep
                             run = run[drop]
-                            dropped[:, :, t] += self._count(run, mlinks[drop], R)
+                            dropped[:, :, t] += self._count(cell[drop], R)
                             holds[run, movers[drop]] = False
                             delta -= np.bincount(run, minlength=R)
 
@@ -343,21 +384,18 @@ class SimContext:
                                  & (self.exit[xfer.rcv] >= k))
 
             # measurement: the per-tick state is the one after the clamp
-            if len(tids):
-                run, col = np.nonzero(holds[:, tids])
-                if len(run):
-                    nc_sum[:, :, t] += self._count(run, links[col], R)
+            nc_sum[:, :, t] += counts
             if record_holders:
                 for r in range(R):
                     history[r].append(frozenset(np.flatnonzero(holds[r]).tolist()))
 
             if instant:
                 if len(events):
-                    delta += self._step_instant(events, holds, A, B, t, k, keys,
+                    delta += self._step_instant(events, holds, counts, bt, t, k,
                                                 gamma_sum[:, :, t])
             else:
                 before = holds.copy() if debug_ledger else None
-                gained, xfer = self._step_capacity(xfer, events, holds, A, B, t, k, keys,
+                gained, xfer = self._step_capacity(xfer, events, holds, counts, bt, t, k,
                                                    gamma_sum[:, :, t])
                 delta += gained
                 if debug_ledger:
@@ -372,6 +410,7 @@ class SimContext:
                     raise LedgerImbalanceError(
                         f"tick {k}, run {r}: holder count {int(count[r])} != "
                         f"expected {int(expected[r])}")
+                self._check_counts(holds, counts, tids, links, k)
 
         nt = self.nt.astype(float)
         outs = []
@@ -389,18 +428,30 @@ class SimContext:
         return outs
 
     # ---------------------------------------------------------------------------
-    def _count(self, run: np.ndarray, link: np.ndarray, R: int) -> np.ndarray:
-        """(R, L) number of (run, link) rows: integer counts, so float sums
-        built from them stay exact."""
-        return np.bincount(run * self.L + link, minlength=R * self.L).reshape(R, self.L)
+    def _count(self, cell: np.ndarray, R: int) -> np.ndarray:
+        """(R, L) number of rows per (run, link) cell run * L + link: integer
+        counts, so float sums built from them stay exact."""
+        return np.bincount(cell, minlength=R * self.L).reshape(R, self.L)
 
-    def _seed_clamp(self, holds, tids, links, s_t, k, prefix, seeded_t, dropped_t):
-        """Set each (run, link) holder count to round(s*n); returns the net
-        change of every run's holder count."""
+    def _check_counts(self, holds, counts, tids, links, k: int) -> None:
+        """Debug check of the running (run, link) holder counts against a
+        recount of the holders present at tick k."""
+        run, col = np.nonzero(holds[:, tids])
+        recount = self._count(run * self.L + links[col], len(holds))
+        bad = np.argwhere(recount != counts)
+        if len(bad):
+            r, link = (int(x) for x in bad[0])
+            raise LedgerImbalanceError(
+                f"tick {k}, run {r}: link {link} has {int(recount[r, link])} holders, "
+                f"running count {int(counts[r, link])}")
+
+    def _seed_clamp(self, holds, counts, tids, links, s_t, k, prefix, seeded_t, dropped_t):
+        """Set each (run, link) holder count to round(s*n); recounts `counts`
+        and returns the net change of every run's holder count."""
         R, n, L = len(holds), len(tids), self.L
         u = rng.keyed_u01_at(prefix[:, None], tids, 0, k).ravel()
-        counts = np.bincount(links, minlength=L)
-        target = np.floor(s_t * counts + 0.5).astype(np.int64)  # .5 rounds up
+        nodes = np.bincount(links, minlength=L)
+        target = np.floor(s_t * nodes + 0.5).astype(np.int64)  # .5 rounds up
         old = holds[:, tids]
         # one sort for every run: (run, link) groups, best priority first
         key = (np.arange(R)[:, None] * L + links).ravel()
@@ -414,64 +465,103 @@ class SimContext:
         rank = np.arange(R * n) - np.searchsorted(sorted_key, sorted_key, side="left")
         new = np.empty(R * n, dtype=bool)
         new[order] = rank < limit[sorted_key]
+        counts[:] = self._count(key[new], R)
         new = new.reshape(R, n)
         up = new & ~old
         down = old & ~new
-        seeded_t += np.bincount(key[up.ravel()], minlength=R * L).reshape(R, L)
-        dropped_t += np.bincount(key[down.ravel()], minlength=R * L).reshape(R, L)
+        seeded_t += self._count(key[up.ravel()], R)
+        dropped_t += self._count(key[down.ravel()], R)
         holds[:, tids] = new
         return up.sum(axis=1) - down.sum(axis=1)
 
-    def _step_instant(self, events, holds, A, B, t, k, keys, gamma_t) -> np.ndarray:
+    def _step_instant(self, events, holds, counts, bt: "_Batch", t, k,
+                      gamma_t) -> np.ndarray:
         """Simultaneous single-tick transfers across all eligible contacts of
-        every run; returns each run's holder gain."""
-        R, n_tracks = holds.shape
+        every run; returns each run's holder gain.
+
+        A row is a (run, event) with exactly one holder.  Its sender and
+        receiver cells (run * L + link) are computed once and serve a, b,
+        gamma and the gains.  One keyed draw covers the send trials with
+        0 < a < 1 and the receive-keep trials with 0 < b < 1 of rows that
+        may send: the two kinds share the (i, j, tick) tail of their keys.
+        Keys and the dedupe of senders and receivers index the batch's
+        tables by (run, slot) cells run * n_slots + slot[track]."""
+        R = len(holds)
         i, j = self.ev_i[events], self.ev_j[events]
         hi = holds[:, i]
-        run, e = np.nonzero(hi ^ holds[:, j])
-        if not len(run):
+        row = np.flatnonzero(hi ^ holds[:, j])        # run * len(events) + event
+        if not len(row):
             return 0
-        i, j, hi = i[e], j[e], hi[run, e]
-        sender = np.where(hi, i, j)
-        receiver = np.where(hi, j, i)
-        tx = _trial(keys[rng.KIND_SEND][run], A[run, self.links_at(sender, k), t], i, j, k)
+        run = row // len(events)
+        e = row - run * len(events)
+        hi = hi.reshape(-1)[row]
+        i, j = i[e], j[e]
+        li, lj = bt.link[i], bt.link[j]
+        base = run * self.L
+        s_cell = base + np.where(hi, li, lj)
+        r_cell = base + np.where(hi, lj, li)
+        a, b = bt.a[t][s_cell], bt.b[t][r_cell]
+        tx, kept = a >= 1.0, b >= 1.0
+        may_send = a > 0.0
+        us = np.flatnonzero(may_send & ~tx)
+        ub = np.flatnonzero(may_send & (b > 0.0) & ~kept)
+        slot_base = run * self.n_slots
+        i_cell, j_cell = slot_base + self.slot[i], slot_base + self.slot[j]
+        if len(us) or len(ub):
+            h = np.concatenate([bt.keys[rng.KIND_SEND][i_cell[us]],
+                                bt.keys[rng.KIND_RECV_KEEP][i_cell[ub]]])
+            u = rng.u01(rng.chain(rng.chain(h, np.concatenate([j[us], j[ub]])), k))
+            tx[us] = u[:len(us)] < a[us]
+            kept[ub] = u[len(us):] < b[ub]
         if not tx.any():
             return 0
-        run, i, j, sender, receiver = run[tx], i[tx], j[tx], sender[tx], receiver[tx]
         # a node sending on several contacts transmits once
-        s_run, s_track = np.divmod(np.unique(run * n_tracks + sender), n_tracks)
-        gamma_t += self._count(s_run, self.links_at(s_track, k), R)
-        return self._receive(holds, run, i, j, receiver, B, t, k, keys[rng.KIND_RECV_KEEP])
+        snd = np.where(hi, i_cell, j_cell)[tx]
+        gamma_t += self._count(s_cell[tx][_first(bt.seen, snd)], R)
+        got = tx & kept
+        return self._gain(holds, counts, bt.seen, run[got], np.where(hi, j, i)[got],
+                          np.where(hi, j_cell, i_cell)[got], r_cell[got])
 
-    def _receive(self, holds, run, i, j, receiver, B, t, k, prefix) -> np.ndarray:
+    def _gain(self, holds, counts, seen, run, track, cell, link_cell) -> np.ndarray:
+        """Make the receivers `track` of runs `run`, at (run, slot) cells
+        `cell`, holders once each, and count them in `counts` at their
+        (run, link) cells; returns each run's holder gain.  Receivers hold
+        nothing before."""
+        R, n_tracks = holds.shape
+        first = _first(seen, cell)
+        holds.reshape(-1)[run * n_tracks + track] = True
+        counts += self._count(link_cell[first], R)
+        return np.bincount(run[first], minlength=R)
+
+    def _receive(self, holds, counts, bt: "_Batch", run, i, j, receiver, t, k) -> np.ndarray:
         """Receive-keep trials of the finished transfers over contacts (i, j);
         a receiver that keeps any copy becomes a holder.  Receivers hold
         nothing before the trials.  Returns each run's holder gain."""
-        R, n_tracks = holds.shape
-        kept = _trial(prefix[run], B[run, self.links_at(receiver, k), t], i, j, k)
-        g_run, g_track = np.divmod(np.unique(run[kept] * n_tracks + receiver[kept]), n_tracks)
-        holds[g_run, g_track] = True
-        return np.bincount(g_run, minlength=R)
+        r_cell = run * self.L + bt.link[receiver]
+        slot_base = run * self.n_slots
+        kept = _trial(bt.b[t][r_cell], bt.keys[rng.KIND_RECV_KEEP],
+                      slot_base + self.slot[i], j, k)
+        return self._gain(holds, counts, bt.seen, run[kept], receiver[kept],
+                          (slot_base + self.slot[receiver])[kept], r_cell[kept])
 
     def _tick_bits(self, events: np.ndarray, k: int) -> np.ndarray:
         """Bits a transfer over each contact event moves in tick k: the
-        scalar `_rate` times the tick, once per distinct event (an event has
-        one contact-tick at k), at the distance recomputed from positions.
-        NumPy's vectorised power and log2 may differ from the scalar ones in
-        the last bit."""
-        cell, inverse = np.unique(events, return_inverse=True)
-        dist = self.traj.distance(self.ev_i[cell], self.ev_j[cell], k)
+        scalar `_rate` times the tick, at the distance recomputed from
+        positions, computed once per distinct distance of the call.  NumPy's
+        vectorised power and log2 may differ from the scalar ones in the
+        last bit."""
+        dist = self.traj.distance(self.ev_i[events], self.ev_j[events], k).tolist()
         ch, tick = self.channel, self.tick
-        return np.array([_rate(ch, d) * tick for d in dist.tolist()])[inverse]
+        bits = {d: _rate(ch, d) * tick for d in set(dist)}
+        return np.array([bits[d] for d in dist], dtype=float)
 
-    def _step_capacity(self, xfer: "_Transfers", events, holds, A, B, t, k, keys,
+    def _step_capacity(self, xfer: "_Transfers", events, holds, counts, bt: "_Batch", t, k,
                        gamma_t) -> tuple[np.ndarray, "_Transfers"]:
         """Capacity tick of every run: progress the multi-tick transfers, then
         start new ones (one per node).  Returns each run's holder gain and the
         transfer table after the tick."""
         R = len(holds)
         content_bits = self.channel.content_bits
-        recv_key = keys[rng.KIND_RECV_KEEP]
         gain = np.zeros(R, dtype=np.int64)
 
         # progress: a transfer whose contact ended is lost, with no partial content
@@ -482,26 +572,26 @@ class SimContext:
             done = xfer.bits >= content_bits
             if done.any():
                 fin = xfer.keep(done)
-                gain += self._receive(holds, fin.run, self.ev_i[fin.ev], self.ev_j[fin.ev],
-                                      fin.rcv, B, t, k, recv_key)
+                gain += self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
+                                      self.ev_j[fin.ev], fin.rcv, t, k)
                 xfer = xfer.keep(~done)
 
-        new = self._start_transfers(xfer, events, holds, A, t, k, keys) if len(events) \
+        new = self._start_transfers(xfer, events, holds, bt, t, k) if len(events) \
             else None
         if new is not None:
             run, snd = np.concatenate([run, new.run]), np.concatenate([snd, new.snd])
             one = new.bits >= content_bits
             if one.any():
                 fin = new.keep(one)
-                gain += self._receive(holds, fin.run, self.ev_i[fin.ev], self.ev_j[fin.ev],
-                                      fin.rcv, B, t, k, recv_key)
+                gain += self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
+                                      self.ev_j[fin.ev], fin.rcv, t, k)
             if not one.all():
                 xfer = xfer + new.keep(~one)
         # a sender transmits on the link it is on
-        gamma_t += self._count(run, self.links_at(snd, k), R)
+        gamma_t += self._count(run * self.L + bt.link[snd], R)
         return gain, xfer
 
-    def _start_transfers(self, xfer, events, holds, A, t, k, keys) -> "_Transfers | None":
+    def _start_transfers(self, xfer, events, holds, bt: "_Batch", t, k) -> "_Transfers | None":
         """Send trials and partner picks on contacts between an idle holder
         and an idle non-holder; returns the picks as rows of a transfer table
         (bits: this tick's), or None.
@@ -513,7 +603,8 @@ class SimContext:
         receiver with it, so each round settles every such sender at once."""
         n_tracks = holds.shape[1]
         # per (run, track): 0 idle non-holder, 1 idle holder, 2 busy
-        state = holds.view(np.int8).copy()
+        state = bt.state
+        np.copyto(state, holds.view(np.int8))
         state[xfer.run, xfer.snd] = 2
         state[xfer.run, xfer.rcv] = 2
         i, j = self.ev_i[events], self.ev_j[events]
@@ -523,7 +614,7 @@ class SimContext:
             return None
         hi = si[run, e] == 1
         snd = np.where(hi, i[e], j[e])
-        a = A[run, self.links_at(snd, k), t]
+        a = bt.a[t][run * self.L + bt.link[snd]]
         can = np.flatnonzero(a > 0.0)       # rows a send trial may pass
         if not len(can):
             return None
@@ -546,11 +637,12 @@ class SimContext:
         choice = np.flatnonzero(choice)
         pick_u = np.zeros(int(group[-1]) + 1)
         if len(unsure) or len(choice):
-            u = rng.keyed_u01_at(
-                np.concatenate([keys[rng.KIND_SEND][run[unsure]],
-                                keys[rng.KIND_PARTNER][run[choice]]]),
-                np.concatenate([i[unsure], snd[choice]]),
-                np.concatenate([j[unsure], np.zeros(len(choice), dtype=np.int64)]), k)
+            h = np.concatenate([
+                rng.chain(bt.keys[rng.KIND_SEND][run[unsure] * self.n_slots
+                                                 + self.slot[i[unsure]]], j[unsure]),
+                rng.chain(rng.chain(bt.prefix[rng.KIND_PARTNER][run[choice]], snd[choice]),
+                          0)])
+            u = rng.u01(rng.chain(h, k))
             ok[unsure] = u[:len(unsure)] < a[unsure]
             pick_u[group[choice]] = u[len(unsure):]
 
@@ -616,6 +708,74 @@ class SimContext:
                 x = int(np.argmax(bad))
                 raise LedgerImbalanceError(
                     f"tick {k}, run {int(run[x])}: track {int(track[x])} {what}")
+
+
+def _track_slots(enter: np.ndarray, exit: np.ndarray, lead: int) -> tuple[np.ndarray, int]:
+    """A slot per track and the number of slots, such that a track's slot is
+    free from `lead` ticks before it enters until it exits: tracks whose
+    ticks enter-lead..exit overlap hold distinct slots.  So a table filled
+    every `lead` ticks with the tracks entering before the next fill
+    overwrites no track still present.  In order of first tick, a track
+    takes the slot of the earliest ended track if that one is free, else a
+    new slot, which needs the fewest slots."""
+    slot = np.empty(len(enter), dtype=np.int64)
+    ends: list[tuple[int, int]] = []        # heap of (last tick, slot)
+    first, last = (enter - lead).tolist(), exit.tolist()
+    for t in np.argsort(enter, kind="stable").tolist():
+        if ends and ends[0][0] < first[t]:
+            free = ends[0][1]
+            heapq.heapreplace(ends, (last[t], free))
+        else:
+            free = len(ends)
+            heapq.heappush(ends, (last[t], free))
+        slot[t] = free
+    return slot, len(ends)
+
+
+@dataclass
+class _Batch:
+    """What the ticks of one run_many call share besides its holder state:
+    the key prefixes and partial draw keys of every run, the a and b planes
+    in flat (run, link) layout, the link of every track present at the
+    current tick, and work arrays.  Per-track tables have a row per
+    (run, slot) cell run * n_slots + slot[track] (see `_track_slots`), so
+    they grow with the tracks present at once, not with all tracks."""
+    prefix: dict          # kind -> (R,) key prefix (seed, kind) of every run
+    keys: dict            # kind -> (R * n_slots,) partial keys of the present tracks
+    a: np.ndarray         # (T, R * L): a[t, run * L + link]
+    b: np.ndarray         # (T, R * L)
+    link: np.ndarray      # (n_tracks,) link of each track present at the current tick
+    seen: np.ndarray      # (R * n_slots,) work array of `_first`
+    state: np.ndarray | None    # (R, n_tracks) int8 work array of capacity steps
+
+    # kinds drawn per contact row or per mover, every tick: worth a table
+    PAIR_KINDS = (rng.KIND_SEND, rng.KIND_RECV_KEEP)      # (seed, kind, track)
+    TRACK_KINDS = (rng.KIND_ENTRY_KEEP,)                  # (seed, kind, track, 0)
+
+    @classmethod
+    def build(cls, schemes, seeds, n_slots: int, n_tracks: int, capacity: bool) -> "_Batch":
+        R = len(schemes)
+        L, T = schemes[0].shape
+        prefix = {kind: np.array([rng.key_prefix(sd, kind) for sd in seeds], dtype=np.uint64)
+                  for kind in (rng.KIND_SEED_PRIORITY, rng.KIND_ENTRY_KEEP, rng.KIND_SEND,
+                               rng.KIND_RECV_KEEP, rng.KIND_PARTNER)}
+        keys = {kind: np.zeros(R * n_slots, dtype=np.uint64)
+                for kind in cls.PAIR_KINDS + cls.TRACK_KINDS}
+
+        def flat(planes):
+            return np.ascontiguousarray(np.stack(planes).transpose(2, 0, 1)).reshape(T, R * L)
+
+        return cls(prefix, keys, flat([sc.a for sc in schemes]), flat([sc.b for sc in schemes]),
+                   np.zeros(n_tracks, dtype=np.int64), np.zeros(R * n_slots, dtype=np.intp),
+                   np.zeros((R, n_tracks), dtype=np.int8) if capacity else None)
+
+    def enter(self, tracks: np.ndarray, slot: np.ndarray) -> None:
+        """Write the partial keys of arriving tracks into their slots' rows."""
+        if len(tracks):
+            for kind, table in self.keys.items():
+                h = rng.chain(self.prefix[kind][:, None], tracks)
+                table.reshape(len(h), -1)[:, slot[tracks]] = (
+                    rng.chain(h, 0) if kind in self.TRACK_KINDS else h)
 
 
 @dataclass

@@ -45,18 +45,28 @@ def key_prefix(seed, kind) -> np.ndarray:
     array arguments).  Draws that share it hash only their ids and tick, so
     a batch of runs hashes each run's head once."""
     with np.errstate(over="ignore"):
-        h = _finalize(_as_u64(seed) + _GAMMA)
-        return _finalize((h + _GAMMA) ^ _as_u64(kind))
+        return chain(_finalize(_as_u64(seed) + _GAMMA), kind)
+
+
+def chain(prefix, ids) -> np.ndarray:
+    """The partial key `prefix` extended by one more key field (uint64,
+    broadcast over both arguments).  Keys hash left to right, so a partial
+    key shared by many draws is hashed once and chained per draw."""
+    with np.errstate(over="ignore"):
+        return _finalize((np.asarray(prefix, dtype=np.uint64) + _GAMMA) ^ _as_u64(ids))
+
+
+def u01(h) -> np.ndarray:
+    """Uniform [0, 1) draws from complete keys: their top 53 bits."""
+    return (h >> _S11).astype(np.float64) * (2.0 ** -53)
 
 
 def keyed_u01_at(prefix, id_a, id_b, tick) -> np.ndarray:
-    """Uniform [0, 1) draws keyed by a `key_prefix` and (id_a, id_b, tick);
-    every argument broadcasts, so one call can draw for many runs."""
-    with np.errstate(over="ignore"):
-        h = _finalize((np.asarray(prefix, dtype=np.uint64) + _GAMMA) ^ _as_u64(id_a))
-        h = _finalize((h + _GAMMA) ^ _as_u64(id_b))
-        h = _finalize((h + _GAMMA) ^ _as_u64(tick))
-    return (h >> _S11).astype(np.float64) * (2.0 ** -53)
+    """Uniform [0, 1) draws keyed by a `key_prefix` and (id_a, id_b, tick):
+    `u01` of the prefix chained with id_a, id_b and the tick.  Every argument
+    broadcasts, so one call can draw for many runs; a caller that holds the
+    prefix chained with some of the ids already chains only the rest."""
+    return u01(chain(chain(chain(prefix, id_a), id_b), tick))
 
 
 def keyed_u01(seed: int, kind: int, id_a, id_b, tick) -> np.ndarray:

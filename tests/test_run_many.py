@@ -12,8 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floatsim import (ChannelModel, FcScheme, NodeTrack, SimContext, TrajectorySet, all_on,
-                      all_zero, detect_contacts, rng)
-from floatsim.fcsim import LedgerImbalanceError, ShapeError, _rate, _Transfers
+                      all_zero, detect_contacts, gen_random_schemes, raster_embed, rng)
+from floatsim.fcsim import (_FILL_TICKS, LedgerImbalanceError, ShapeError, _rate,
+                            _track_slots, _Transfers)
+from floatsim.plan import circular_scheme, default_radii
+from floatsim.rng import derive_seed
 from engine_oracle import dist_of, oracle_keyed_u01, oracle_run
 
 RADIUS = 50.0
@@ -178,6 +181,58 @@ def test_desk_batch_matches_one_run_engine(grid, desk_traj, desk_contacts, mode)
                                 record_holders=True), outs[1])
 
 
+@pytest.mark.parametrize("mode", ["instantaneous", "capacity"])
+def test_batch_over_the_head_of_a_trace_matches_one_run_engine(grid, desk_traj,
+                                                               desk_contacts, mode):
+    # 75 ticks, not a whole number of key-table fills, while tracks keep
+    # entering after the last simulated tick
+    ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8)
+    ctx = SimContext(grid, desk_traj, desk_contacts, ch, [40.0, 35.0])
+    assert ctx.sim_ticks % _FILL_TICKS and desk_traj.enter.max() >= ctx.sim_ticks
+    gen = np.random.default_rng(5)
+    schemes = [FcScheme(*gen.uniform(0, 1, (3, grid.num_links, 2))) for _ in range(3)]
+    seeds = [7, 8, 9]
+    outs = ctx.run_many(schemes, seeds, zoi=(0, 1, 2))
+    for sc, sd, out in zip(schemes, seeds, outs):
+        assert_same_outcome(out, oracle_run(ctx, sc, zoi=(0, 1, 2), seed=sd))
+
+
+def _planner_shortlist(grid, zoi, T):
+    """Candidates shaped like a `plan._plan` shortlist: all-on, the classic,
+    float and light anchor zones at 3 radii, 3 mixed random strategies and
+    2 perturbations of the first of them."""
+    L = grid.num_links
+    cands = [all_on(L, T)]
+    for radius in default_radii(grid)[1:4]:
+        cands += [circular_scheme(grid, zoi, radius, T),
+                  circular_scheme(grid, zoi, radius, T, 1.0, 0.9),
+                  circular_scheme(grid, zoi, radius, T, 0.6, 0.9)]
+    randoms = gen_random_schemes(3, L, T, 5, "mixed", raster_embed(grid, 9, 7))[:3]
+    gen = np.random.default_rng(8)
+    return cands + randoms + [randoms[0].perturbed(0.1, gen) for _ in range(2)]
+
+
+@pytest.mark.parametrize("mode", ["instantaneous", "capacity"])
+def test_planner_batch_matches_one_run_engine(grid, desk_traj, desk_contacts, mode):
+    # every shortlist entry on 2 verify seeds, as `_plan` batches them (30
+    # runs); capacity mode takes every fourth run (8)
+    ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8)
+    ctx = SimContext(grid, desk_traj, desk_contacts, ch, [150.0, 150.0])
+    zoi = (0, 1, 2)
+    cands = _planner_shortlist(grid, zoi, 2)
+    verify_seeds = [derive_seed(9, 701, v) for v in range(2)]
+    schemes = [sc for sc in cands for _ in verify_seeds]
+    seeds = verify_seeds * len(cands)
+    if mode == "capacity":
+        schemes, seeds = schemes[::4], seeds[::4]
+    # tracks come and go within the run, so the key tables' slots are reused
+    assert ctx.n_slots < ctx.traj.num_tracks
+    for v_first in (None, np.random.default_rng(3).uniform(0.0, 1.0, ctx.L)):
+        outs = ctx.run_many(schemes, seeds, zoi=zoi, v_first=v_first, debug_ledger=True)
+        for sc, sd, out in zip(schemes, seeds, outs):
+            assert_same_outcome(out, oracle_run(ctx, sc, zoi=zoi, seed=sd, v_first=v_first))
+
+
 def test_run_many_argument_errors(grid, desk_traj, desk_contacts, instant_channel):
     ctx = SimContext(grid, desk_traj, desk_contacts, instant_channel, [150.0, 150.0])
     L = grid.num_links
@@ -213,6 +268,55 @@ def test_prefix_draws_broadcast_over_runs(seeds, kind, ids, tick):
     got = rng.keyed_u01_at(prefix[:, None], np.array(ids), 0, tick)
     for r, s in enumerate(seeds):
         assert got[r].tobytes() == oracle_keyed_u01(s, kind, np.array(ids), 0, tick).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_u64, kind=st.integers(1, 5), id_a=_i64, id_b=_i64,
+       tick=st.one_of(st.integers(0, 10 ** 7), st.integers(0, 2 ** 63 - 1)))
+def test_chained_partial_keys_match_five_round_draw(seed, kind, id_a, id_b, tick):
+    want = oracle_keyed_u01(seed, kind, id_a, id_b, tick)
+    head = rng.chain(rng.key_prefix(seed, kind), id_a)
+    assert rng.u01(rng.chain(rng.chain(head, id_b), tick)).tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(_u64, min_size=1, max_size=4), kind=st.integers(1, 5),
+       ids=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+       j=st.integers(0, 10 ** 6), tick=st.integers(0, 10 ** 7))
+def test_partial_key_tables_broadcast_over_runs(seeds, kind, ids, j, tick):
+    # per-(run, slot) tables as run_many fills them: (seed, kind, track)
+    # for pair draws and (seed, kind, track, 0) for per-track draws
+    heads = np.array([rng.key_prefix(s, kind) for s in seeds], dtype=np.uint64)
+    ids = np.array(ids)
+    pair = rng.chain(heads[:, None], ids)
+    track = rng.u01(rng.chain(rng.chain(pair, 0), tick))
+    # a pair draw reads its row's entry from the flat table
+    cell = np.arange(len(seeds))[:, None] * len(ids) + np.arange(len(ids))
+    drawn = rng.u01(rng.chain(rng.chain(pair.ravel()[cell], j), tick))
+    for r, s in enumerate(seeds):
+        assert track[r].tobytes() == oracle_keyed_u01(s, kind, ids, 0, tick).tobytes()
+        assert drawn[r].tobytes() == oracle_keyed_u01(s, kind, ids, j, tick).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 60)),
+                      min_size=1, max_size=40),
+       lead=st.sampled_from([0, 1, 7, _FILL_TICKS]))
+def test_track_slots_are_free_lead_ticks_before_entry(spans, lead):
+    enter = np.array([e for e, _ in spans], dtype=np.int64)
+    exit = enter + np.array([d for _, d in spans], dtype=np.int64)
+    slot, n_slots = _track_slots(enter, exit, lead)
+    # two tracks share a slot only if one exits more than lead ticks before
+    # the other enters: a fill every lead ticks overwrites no present track
+    for x in range(len(spans)):
+        for y in range(x + 1, len(spans)):
+            if slot[x] == slot[y]:
+                assert exit[x] < enter[y] - lead or exit[y] < enter[x] - lead
+    # and no fewer slots would do: the most spans enter-lead..exit at a tick
+    ticks = np.arange(-lead, 261)
+    overlap = ((enter[:, None] - lead <= ticks) & (ticks <= exit[:, None])).sum(axis=0)
+    assert n_slots == overlap.max()
+    assert set(slot.tolist()) == set(range(n_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -313,4 +417,20 @@ def test_ledger_imbalance_names_the_run(grid, desk_traj, desk_contacts, instant_
 
     monkeypatch.setattr(SimContext, "_step_instant", leaky)
     with pytest.raises(LedgerImbalanceError, match="run 1"):
+        ctx.run_many([all_on(L, 2), all_on(L, 2)], [1, 2], debug_ledger=True)
+
+
+def test_running_count_imbalance_names_the_link(grid, desk_traj, desk_contacts,
+                                                instant_channel, monkeypatch):
+    ctx = SimContext(grid, desk_traj, desk_contacts, instant_channel, [150.0, 150.0])
+    L = grid.num_links
+    real = SimContext._step_instant
+
+    def miscount(self, events, holds, counts, *args):
+        gained = real(self, events, holds, counts, *args)
+        counts[1, 3] += 1                   # run 1 counts a holder on link 3 it lacks
+        return gained
+
+    monkeypatch.setattr(SimContext, "_step_instant", miscount)
+    with pytest.raises(LedgerImbalanceError, match="tick [0-9]+, run 1: link 3 has"):
         ctx.run_many([all_on(L, 2), all_on(L, 2)], [1, 2], debug_ledger=True)
