@@ -278,7 +278,7 @@ def _write_manifest(out: Path, cfg: dict) -> None:
 
 def _write_trace_csv(path: Path, traj) -> None:
     track, tick = traj.sample_index()
-    block = 1 << 16                 # rows turned into Python lists at a time
+    block = 1 << 13                 # rows turned into Python lists at a time
     with open(path, "w") as fh:
         fh.write("t,node_id,x,y,speed\n")
         for lo in range(0, len(tick), block):

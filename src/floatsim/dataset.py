@@ -96,29 +96,136 @@ def link_inputs(normalizer: Normalizer, m: MobilityFeatures, scheme: FcScheme) -
 # random strategies
 # ---------------------------------------------------------------------------
 
-def _smoothed_planes(generator: np.random.Generator, embedding: RasterEmbedding,
+# The blur and the error function repeat SciPy's float operations one for
+# one: scipy.ndimage.gaussian_filter(field, sigma, mode="nearest") and
+# scipy.special.erf (cephes ndtr.c).  So the smoothed strategies are the ones
+# SciPy gave, bit for bit, and a run loads no SciPy.
+
+# cephes erf on |x| <= 1: x * T(x^2) / U(x^2)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+# cephes erfc on 1 <= x < 8: exp(-x^2) P(x) / Q(x); on x >= 8: R and S
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2       # log(2**1024): exp(-x^2) underflows past it
+
+# fields blurred, standardized and squashed together: bounds the temporaries
+_FIELD_BLOCK = 4096
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule, highest power first (cephes polevl)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule with a leading coefficient 1 left out (cephes p1evl)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc_above_one(x: np.ndarray) -> np.ndarray:
+    """cephes erfc of every x > 1; 0 where exp(-x^2) underflows."""
+    with np.errstate(over="ignore"):       # -inf for |x| past 1e154, as in C
+        z = -x * x
+    out = np.zeros_like(x)
+    live = np.flatnonzero(z >= -_MAXLOG)
+    # libm's exp, as cephes calls it: np.exp rounds some inputs differently
+    e = np.fromiter(map(math.exp, z[live].tolist()), float, len(live))
+    x = x[live]
+    near = x < 8.0
+    out[live[near]] = e[near] * _polevl(x[near], _ERFC_P) / _p1evl(x[near], _ERFC_Q)
+    far = ~near
+    out[live[far]] = e[far] * _polevl(x[far], _ERFC_R) / _p1evl(x[far], _ERFC_S)
+    return out
+
+
+def erf(x) -> np.ndarray:
+    """The error function of every element, as scipy.special.erf computes it
+    (cephes erf: a rational function on |x| <= 1, else 1 - erfc), bit for bit."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.empty_like(a)
+    small = a <= 1.0
+    s = a[small]
+    z = s * s
+    out[small] = s * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    out[~small] = 1.0 - _erfc_above_one(a[~small])
+    # erf(-x) = -erf(x), and erf(-0.0) is -0.0
+    return np.copysign(out, x)
+
+
+def gaussian_blur(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """Blur each (H, W) field of `fields` (..., H, W) by a Gaussian of standard
+    deviation `sigma` cells, truncated at 4 sigmas, the border extended by its
+    nearest cell: scipy.ndimage.gaussian_filter(field, sigma, mode="nearest")
+    of each field, bit for bit."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    # ndimage correlates with the normalized kernel reversed
+    w = (kernel / kernel.sum())[::-1]
+    for axis in (-2, -1):
+        line = np.moveaxis(fields, axis, -1)
+        n = line.shape[-1]
+        line = np.pad(line, [(0, 0)] * (line.ndim - 1) + [(radius, radius)], mode="edge")
+        # ndimage's symmetric correlation: the centre tap, then each pair of
+        # taps from the farthest inwards
+        out = line[..., radius:radius + n] * w[radius]
+        for d in range(radius, 0, -1):
+            out += (line[..., radius - d:radius - d + n]
+                    + line[..., radius + d:radius + d + n]) * w[radius - d]
+        fields = np.moveaxis(out, -1, axis)
+    return fields
+
+
+def _smoothed_planes(generators: list[np.random.Generator], embedding: RasterEmbedding,
                      T: int, blur: float = 1.5) -> np.ndarray:
-    """(3, L, T) spatially coherent random planes in [0, 1]: Gaussian noise on
-    the raster, blurred, standardized and squashed through the normal CDF.
+    """(len(generators), 3, L, T) spatially coherent random planes in [0, 1],
+    one strategy per generator: Gaussian noise on the raster, blurred,
+    standardized and squashed through the normal CDF.
 
     A random squash gain per plane varies how binary the field looks, from
     gentle gradients up to sharp compact blobs like anchor-zone strategies.
-    SciPy is imported here, its only use, so importing floatsim loads none.
+    Each generator draws, plane by plane, the gain and then one field per
+    interval.  The fields of up to _FIELD_BLOCK // (3 T) strategies are then
+    blurred (`gaussian_blur`), standardized and squashed (`erf`) as one
+    stack; every field gets the values that SciPy's filter and erf gave it
+    one field at a time.
     """
-    from scipy import ndimage
-    from scipy.special import erf
-
-    out = np.empty((3, embedding.num_links, T))
-    for p in range(3):
-        gain = float(generator.choice([1.0, 3.0, 8.0]))
-        for t in range(T):
-            field = generator.normal(size=(embedding.H, embedding.W))
-            field = ndimage.gaussian_filter(field, blur, mode="nearest")
-            sd = field.std()
-            if sd > 0:
-                field = (field - field.mean()) / sd
-            squashed = 0.5 * (1.0 + erf(gain * field / math.sqrt(2.0)))
-            out[p, :, t] = embedding.unrasterize(squashed)
+    H, W = embedding.H, embedding.W
+    out = np.empty((len(generators), 3, embedding.num_links, T))
+    per_block = max(1, _FIELD_BLOCK // (3 * T))
+    for lo in range(0, len(generators), per_block):
+        block = generators[lo:lo + per_block]
+        gains = np.empty((len(block), 3, 1, 1, 1))
+        fields = np.empty((len(block), 3, T, H, W))
+        for k, generator in enumerate(block):
+            for p in range(3):
+                gains[k, p] = float(generator.choice([1.0, 3.0, 8.0]))
+                fields[k, p] = generator.normal(size=(T, H, W))
+        fields = gaussian_blur(fields, blur)
+        flat = fields.reshape(-1, H * W)
+        # one row per field, summed as field.mean() and field.std() sum it
+        sd = flat.std(axis=1, keepdims=True)
+        np.divide(flat - flat.mean(axis=1, keepdims=True), sd, out=flat, where=sd > 0)
+        squashed = 0.5 * (1.0 + erf(gains * fields / math.sqrt(2.0)))
+        out[lo:lo + len(block)] = embedding.unrasterize(squashed).transpose(0, 1, 3, 2)
     return out
 
 
@@ -135,15 +242,12 @@ def gen_random_schemes(K: int, L: int, T: int, seed: int, style: str = "mixed",
         raise ValueError(f"unknown style {style!r}")
     if style in ("smoothed", "mixed") and embedding is None:
         raise ValueError(f"style {style!r} needs a raster embedding")
-    schemes = []
-    for k in range(K):
-        generator = np.random.default_rng(derive_seed(seed, 303, k))
-        smooth = style == "smoothed" or (style == "mixed" and k % 2 == 1)
-        if smooth:
-            planes = _smoothed_planes(generator, embedding, T)
-        else:
-            planes = generator.uniform(0.0, 1.0, (3, L, T))
-        schemes.append(FcScheme(planes[0], planes[1], planes[2]))
+    generators = [np.random.default_rng(derive_seed(seed, 303, k)) for k in range(K)]
+    smooth = [style == "smoothed" or (style == "mixed" and k % 2 == 1) for k in range(K)]
+    smoothed = iter(_smoothed_planes([g for g, s in zip(generators, smooth) if s],
+                                     embedding, T) if any(smooth) else ())
+    schemes = [FcScheme(*(next(smoothed) if s else g.uniform(0.0, 1.0, (3, L, T))))
+               for g, s in zip(generators, smooth)]
     schemes.append(all_on(L, T))
     schemes.append(all_zero(L, T))
     return schemes

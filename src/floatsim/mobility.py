@@ -71,22 +71,40 @@ class TrajectorySet:
     """
 
     def __init__(self, tick: float, horizon: int, tracks=(), dropped_samples: int = 0):
+        tracks = list(tracks)
+        self._set_columns(
+            tick, horizon, dropped_samples,
+            [tr.node for tr in tracks], [tr.enter_tick for tr in tracks],
+            [len(tr.pos) for tr in tracks],
+            np.concatenate([tr.pos for tr in tracks] or [np.zeros((0, 2))], dtype=float),
+            np.concatenate([tr.speed for tr in tracks] or [np.zeros(0)], dtype=float),
+            np.concatenate([tr.link for tr in tracks] or [np.zeros(0, np.int64)],
+                           dtype=np.int64))
+
+    @classmethod
+    def from_columns(cls, tick: float, horizon: int, node, enter, lens, pos, speed, link,
+                     dropped_samples: int = 0) -> "TrajectorySet":
+        """The set whose track k is node[k], entering at tick enter[k] with
+        lens[k] samples, the tracks' samples concatenated in the columns pos
+        (S, 2), speed and link; the columns are kept, not copied."""
+        traj = cls.__new__(cls)
+        traj._set_columns(tick, horizon, dropped_samples, node, enter, lens, pos, speed, link)
+        return traj
+
+    def _set_columns(self, tick, horizon, dropped_samples, node, enter, lens, pos, speed, link):
         self.tick = tick
         self.horizon = horizon                    # number of ticks covered: ticks 0..horizon-1
         self.dropped_samples = dropped_samples    # off-grid samples discarded on ingestion
-        tracks = list(tracks)
-        lens = np.array([len(tr.pos) for tr in tracks], dtype=np.int64)
-        self.enter = np.array([tr.enter_tick for tr in tracks], dtype=np.int64)
+        lens = np.asarray(lens, dtype=np.int64)
+        self.enter = np.asarray(enter, dtype=np.int64)
         self.exit = self.enter + lens - 1
         self.first = np.cumsum(lens) - lens
         self.sample_base = self.first - self.enter      # track's sample at tick k: base + k
-        self.pos = np.concatenate([tr.pos for tr in tracks] or [np.zeros((0, 2))], dtype=float)
-        self.speed = np.concatenate([tr.speed for tr in tracks] or [np.zeros(0)], dtype=float)
-        self.link = np.concatenate([tr.link for tr in tracks] or [np.zeros(0, np.int64)],
-                                   dtype=np.int64)
+        self.pos, self.speed, self.link = pos, speed, link
         self.tracks = tuple(
-            NodeTrack(tr.node, tr.enter_tick, self.pos[a:b], self.speed[a:b], self.link[a:b])
-            for tr, a, b in zip(tracks, self.first.tolist(), (self.first + lens).tolist()))
+            NodeTrack(n, k, pos[a:b], speed[a:b], link[a:b])
+            for n, k, a, b in zip(node, self.enter.tolist(), self.first.tolist(),
+                                  (self.first + lens).tolist()))
 
     @property
     def num_tracks(self) -> int:
@@ -325,29 +343,38 @@ def simulate_manhattan(grid: RoadGrid, arrival_rate: float, speed_model: SpeedMo
                 arrivals.append((t, sid))
     arrivals.sort()
 
-    tracks = []
+    # two passes, so the samples are written once, into the columns: the
+    # first walks every route, the second interpolates each vehicle's samples
     table = _route_table(grid)
+    kept = []
     for node_id, (t0, sid) in enumerate(arrivals):
         rng = np.random.default_rng(derive_seed(seed, 202, node_id))
         speed = speed_model.draw(rng)
         points, seg_links = _walk_route(grid, sid, rng, table=table)
         seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        total = cum[-1]
-        t_exit = t0 + total / speed
+        t_exit = t0 + cum[-1] / speed
         k0 = max(math.ceil(t0 / tick - 1e-9), w_ticks)
         k1 = min(math.floor(t_exit / tick + 1e-9), w_ticks + horizon - 1)
-        if k1 < k0:
-            continue
+        if k1 >= k0:
+            kept.append((node_id, k0, k1, t0, speed, points, seg_links, seg_len, cum))
+    lens = [k1 - k0 + 1 for _, k0, k1, *_ in kept]
+    first = np.cumsum([0] + lens).tolist()
+    pos = np.empty((first[-1], 2))
+    speeds = np.empty(first[-1])
+    link = np.empty(first[-1], dtype=np.int64)
+    for (_, k0, k1, t0, speed, points, seg_links, seg_len, cum), a, b in zip(
+            kept, first, first[1:]):
         ticks = np.arange(k0, k1 + 1)
-        dist = np.minimum((ticks * tick - t0) * speed, total)
+        dist = np.minimum((ticks * tick - t0) * speed, cum[-1])
         seg = np.minimum(np.searchsorted(cum, dist, side="right") - 1, len(seg_len) - 1)
         frac = (dist - cum[seg]) / seg_len[seg]
-        pos = points[seg] + frac[:, None] * (points[seg + 1] - points[seg])
-        tracks.append(NodeTrack(
-            node=node_id, enter_tick=int(k0) - w_ticks, pos=pos,
-            speed=np.full(len(ticks), speed), link=seg_links[seg]))
-    return TrajectorySet(tick=tick, horizon=horizon, tracks=tracks)
+        pos[a:b] = points[seg] + frac[:, None] * (points[seg + 1] - points[seg])
+        speeds[a:b] = speed
+        link[a:b] = seg_links[seg]
+    return TrajectorySet.from_columns(
+        tick, horizon, [v[0] for v in kept], [v[1] - w_ticks for v in kept], lens,
+        pos, speeds, link)
 
 
 # ---------------------------------------------------------------------------

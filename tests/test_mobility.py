@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from floatsim import KMH, SpeedModel, detect_contacts, load_traces, mobility_features, simulate_manhattan
+from floatsim import (KMH, NodeTrack, SpeedModel, TrajectorySet, detect_contacts, load_traces,
+                      mobility_features, simulate_manhattan)
 from floatsim import mobility
 from floatsim.mobility import (ContactEvent, ContactTable, EmptyTraceError, IntervalRangeError,
                                TraceParseError, _walk_route)
@@ -52,6 +54,57 @@ def test_determinism_bit_identical(grid):
         assert np.array_equal(ta.pos, tb.pos)
         assert np.array_equal(ta.speed, tb.speed)
         assert np.array_equal(ta.link, tb.link)
+
+
+def _simulate_by_tracks(grid, arrival_rate, speed_model, duration, seed, warmup_s):
+    """The one-pass simulation that built a NodeTrack per vehicle and then
+    concatenated them: the reference for `simulate_manhattan`, which writes
+    every sample straight into the columns."""
+    horizon, w_ticks = int(round(duration)), int(round(warmup_s))
+    arrivals = []
+    for sid in [ln.id for ln in grid.links if ln.is_border_stub]:
+        rng = np.random.default_rng(mobility.derive_seed(seed, 101, sid))
+        t = 0.0
+        while arrival_rate > 0:
+            t += rng.exponential(1.0 / arrival_rate)
+            if t >= warmup_s + duration:
+                break
+            arrivals.append((t, sid))
+    tracks = []
+    for node_id, (t0, sid) in enumerate(sorted(arrivals)):
+        rng = np.random.default_rng(mobility.derive_seed(seed, 202, node_id))
+        speed = speed_model.draw(rng)
+        points, seg_links = _walk_route(grid, sid, rng)
+        seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        k0 = max(math.ceil(t0 - 1e-9), w_ticks)
+        k1 = min(math.floor(t0 + cum[-1] / speed + 1e-9), w_ticks + horizon - 1)
+        if k1 < k0:
+            continue
+        ticks = np.arange(k0, k1 + 1)
+        dist = np.minimum((ticks * 1.0 - t0) * speed, cum[-1])
+        seg = np.minimum(np.searchsorted(cum, dist, side="right") - 1, len(seg_len) - 1)
+        frac = (dist - cum[seg]) / seg_len[seg]
+        tracks.append(NodeTrack(node_id, k0 - w_ticks,
+                                points[seg] + frac[:, None] * (points[seg + 1] - points[seg]),
+                                np.full(len(ticks), speed), seg_links[seg]))
+    return TrajectorySet(tick=1.0, horizon=horizon, tracks=tracks)
+
+
+@pytest.mark.parametrize("rate, duration, warmup, seed", [
+    (0.05, 600.0, 200.0, 7),          # the desk mobility
+    (0.5, 120.0, 60.0, 211),          # 10x the desk arrival rate
+    (0.0, 50.0, 0.0, 1),
+])
+def test_columns_match_per_vehicle_tracks(grid, rate, duration, warmup, seed):
+    speed = SpeedModel.uniform(20 * KMH, 30 * KMH)
+    got = simulate_manhattan(grid, rate, speed, duration, seed=seed, warmup_s=warmup)
+    want = _simulate_by_tracks(grid, rate, speed, duration, seed, warmup)
+    assert got.horizon == want.horizon and got.num_tracks == want.num_tracks
+    for name in ("pos", "speed", "link", "enter", "exit", "first", "sample_base"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert [tr.node for tr in got.tracks] == [tr.node for tr in want.tracks]
 
 
 def test_per_tick_path_distance_matches_speed(grid):
