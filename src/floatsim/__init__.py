@@ -9,12 +9,12 @@ from .mobility import (
     detect_contacts, load_traces, mobility_features, simulate_manhattan, KMH,
 )
 from .fcsim import (
-    ChannelModel, SimContext, SimOutcome, capacity, run_fc, safe_ratio, success_ratio,
-    zoi_alpha, UndefinedRatioError,
+    ChannelModel, SimContext, SimOutcome, capacity, run_fc, success_ratio,
+    UndefinedRatioError,
 )
 from .scheme import (
     CostWeights, FcScheme, ServiceRequest, all_on, all_zero, is_feasible,
-    scheme_cost,
+    safe_ratio, scheme_cost, zoi_alpha,
 )
 from .dataset import (
     CommFeatures, Normalizer, TrainingPair, build_dataset,
@@ -22,9 +22,9 @@ from .dataset import (
     save_dataset,
 )
 from .plan import (
-    AnchorZoneResult, PlannerOptions, PlanResult, ProblemInfeasibleError,
+    AnchorZoneResult, PlannerOptions, PlanResult, ProblemInfeasibleError, Verification,
     bootstrap, circular_az_baseline, circular_scheme, full_infrastructure_baseline,
-    replan,
+    replan, verify,
 )
 from . import learn
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dataset import (build_dataset, feasibility_labels, gen_random_schemes, load_dataset,
                       save_dataset)
-from .fcsim import ChannelModel, SimContext, zoi_alpha
+from .fcsim import ChannelModel, SimContext
 from .learn.baselines import flatten_pair_rows, train_baseline
 from .learn.metrics import f_score
 from .learn.surrogate import SurrogateHyper, load_model, save_model, train_surrogate
@@ -33,11 +34,11 @@ from .mobility import (EmptyTraceError, IntervalRangeError, SpeedModel, TracePar
                        detect_contacts, interval_ticks, load_traces, mobility_features,
                        simulate_manhattan, KMH)
 from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
-                   circular_az_baseline, full_infrastructure_baseline)
+                   circular_az_baseline, full_infrastructure_baseline, verify)
 from .rng import derive_seed
 from .roadnet import build_manhattan, grid_from_json, grid_to_json, raster_embed
 from .scheme import (CostWeights, FcScheme, SchemeValueError, ServiceRequest, all_on,
-                     is_feasible, scheme_cost)
+                     zoi_alpha)
 
 SUBCOMMANDS = ("grid", "mobility", "features", "dataset", "train",
                "bootstrap", "evaluate", "report", "pipeline")
@@ -106,7 +107,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> dict:
-    cfg = DEFAULTS
+    user = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -115,9 +116,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
             user = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-        cfg = _deep_merge(DEFAULTS, user)
-    else:
-        cfg = _deep_merge(DEFAULTS, {})
+    cfg = _deep_merge(DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
     validate_config(cfg)
@@ -158,6 +157,9 @@ def validate_config(cfg: dict) -> None:
               f"mobility.trace_path does not exist: {mob.get('trace_path')}")
 
     ch = cfg["channel"]
+    for name in ("bandwidth_hz", "edge_sinr_db", "path_loss_exp", "radius_m", "sinr_cap_db"):
+        check(isinstance(ch[name], (int, float)) and math.isfinite(ch[name]),
+              f"channel.{name} must be a finite number")
     check(ch["bandwidth_hz"] > 0, "channel.bandwidth_hz must be positive")
     check(ch["path_loss_exp"] >= 2, "channel.path_loss_exp must be >= 2")
     check(ch["radius_m"] > 0, "channel.radius_m must be positive")
@@ -559,26 +561,23 @@ def cmd_bootstrap(run: Run) -> None:
 
 def cmd_evaluate(run: Run) -> None:
     out, req, scheme = run.out, run.request, run.plan
-    n_seeds = run.cfg["evaluate"]["seeds"]
-    run_seeds = [derive_seed(run.cfg["seed"], 8, si) for si in range(n_seeds)]
-    outcomes = run.verifier.run_many([scheme] * n_seeds, run_seeds, zoi=req.zoi)
-    costs = [scheme_cost(outcome, scheme, run.weights) for outcome in outcomes]
-    feasibles = [is_feasible(outcome, req) for outcome in outcomes]
-    alpha = [[f"{t},{float(a)!r}\n" for t, a in enumerate(o.alpha, 1)] for o in outcomes]
+    run_seeds = [derive_seed(run.cfg["seed"], 8, si) for si in range(run.cfg["evaluate"]["seeds"])]
+    v, = verify(run.verifier, [scheme], req, run.weights, run_seeds)
+    alpha = [[f"{t},{float(a)!r}\n" for t, a in enumerate(o.alpha, 1)] for o in v.outcomes]
     (out / "alpha_samples.csv").write_text(
         "seed,t,alpha\n" + "".join(f"{si},{row}" for si, rows in enumerate(alpha) for row in rows))
     (out / "alpha.csv").write_text("t,alpha\n" + "".join(alpha[0]))
-    o = outcomes[0]
+    o = v.outcomes[0]
     write_table(out / "outcome.csv", {"n": o.n, "n_c": o.n_c, "gamma": o.gamma.sum(axis=2),
                                       "v": o.v, "seeded": o.seeded, "dropped": o.dropped})
-    verdict = {"feasible": bool(all(feasibles)),
-               "feasible_fraction": float(np.mean(feasibles)),
-               "cost_mean": float(np.mean(costs)),
-               "cost_per_seed": [float(c) for c in costs],
-               "feasible_per_seed": [bool(f) for f in feasibles]}
+    verdict = {"feasible": v.feasible,
+               "feasible_fraction": float(np.mean(v.feasible_per_seed)),
+               "cost_mean": v.cost,
+               "cost_per_seed": v.costs,
+               "feasible_per_seed": v.feasible_per_seed}
     (out / "verdict.json").write_text(json.dumps(verdict, sort_keys=True, indent=1))
     print(f"evaluate: feasible={verdict['feasible']} "
-          f"mean cost {verdict['cost_mean']:.3e} over {n_seeds} seeds")
+          f"mean cost {verdict['cost_mean']:.3e} over {len(run_seeds)} seeds")
 
 
 # -- report helpers -----------------------------------------------------------
@@ -695,31 +694,24 @@ def cmd_report(run: Run) -> None:
 
     # cost comparison against the reference strategies, paired with the plan
     # on its first evaluate seeds
-    verifier, w = run.verifier, run.weights
     n_paired = min(REPORT_SEEDS, len(verdict["cost_per_seed"]))
     seeds = [derive_seed(cfg["seed"], 8, i) for i in range(n_paired)]
-
-    def sim_cost(strategy) -> tuple[float, bool]:
-        outs = verifier.run_many([strategy] * len(seeds), seeds, zoi=req.zoi)
-        return (float(np.mean([scheme_cost(o, strategy, w) for o in outs])),
-                all(is_feasible(o, req) for o in outs))
-
-    allon_cost, allon_ok = sim_cost(all_on(L, T))
-    az = circular_az_baseline(verifier, req, w,
+    allon, fi = verify(run.verifier, [all_on(L, T), full_infrastructure_baseline(req.zoi, L, T)],
+                       req, run.weights, seeds)
+    az = circular_az_baseline(run.verifier, req, run.weights,
                               radii=cfg["planner"]["az_radii"], run_seeds=seeds)
-    fi_cost, fi_ok = sim_cost(full_infrastructure_baseline(req.zoi, L, T))
     plan_cost = float(np.mean(verdict["cost_per_seed"][:n_paired]))
     plan_ok = all(verdict["feasible_per_seed"][:n_paired])
     with open(report / "savings.csv", "w") as fh:
         fh.write("strategy,cost,feasible,savings_vs_all_on_pct\n")
         for name, cost, ok in [("planned", plan_cost, plan_ok),
-                               ("all_on", allon_cost, allon_ok),
+                               ("all_on", allon.cost, allon.feasible),
                                ("circular_az", az.cost, az.feasible),
-                               ("full_infrastructure", fi_cost, fi_ok)]:
-            sav = 100.0 * (1.0 - cost / allon_cost) if allon_cost > 0 else 0.0
+                               ("full_infrastructure", fi.cost, fi.feasible)]:
+            sav = 100.0 * (1.0 - cost / allon.cost) if allon.cost > 0 else 0.0
             fh.write(f"{name},{cost!r},{int(ok)},{sav!r}\n")
-    print(f"report: planned {plan_cost:.3e} vs all-on {allon_cost:.3e} "
-          f"({100 * (1 - plan_cost / allon_cost):.1f}% saved)")
+    print(f"report: planned {plan_cost:.3e} vs all-on {allon.cost:.3e} "
+          f"({100 * (1 - plan_cost / allon.cost):.1f}% saved)")
 
 
 def cmd_pipeline(run: Run) -> None:

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fcsim import ChannelModel, SimContext, zoi_alpha
+from .fcsim import ChannelModel, SimContext
 from .linktable import read_table, write_table
 from .mobility import ContactTable, MobilityFeatures, TrajectorySet, detect_contacts, mobility_features
 from .rng import derive_seed
 from .roadnet import RasterEmbedding, RoadGrid, grid_to_json
-from .scheme import FcScheme, all_on, all_zero
+from .scheme import FcScheme, all_on, all_zero, zoi_alpha
 
 @dataclass
 class CommFeatures:

@@ -27,7 +27,7 @@ from . import rng
 from .mobility import (ContactEvent, ContactTable, TrajectorySet, interval_of_tick,
                        interval_ticks)
 from .roadnet import RoadGrid
-from .scheme import FcScheme
+from .scheme import FcScheme, safe_ratio, zoi_alpha
 
 
 class ShapeError(ValueError):
@@ -64,6 +64,9 @@ class ChannelModel:
             raise ValueError("path-loss exponent must be >= 2")
         if not 0 < self.radius_m < math.inf:
             raise ValueError(f"radius must be positive and finite, not {self.radius_m}")
+        for name in ("edge_sinr_db", "sinr_cap_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.mode not in ("capacity", "instantaneous"):
             raise ValueError(f"unknown transfer mode {self.mode!r}")
         self.edge_sinr = 10.0 ** (self.edge_sinr_db / 10.0)
@@ -138,20 +141,6 @@ class SimOutcome:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n.shape
-
-
-def safe_ratio(num, den, fill):
-    """num / den elementwise where den > 0, `fill` elsewhere: the form of
-    every success ratio and availability in the package."""
-    return np.where(den > 0, num / np.maximum(den, 1e-300), fill)
-
-
-def zoi_alpha(n_c, n, zoi) -> np.ndarray:
-    """Success ratio: the ZOI links' content holders over their nodes, from
-    per-link rows of (L, T) or (L,) holder and node counts; per interval,
-    NaN where the ZOI has no nodes."""
-    z = np.asarray(sorted(zoi), dtype=np.int64)
-    return safe_ratio(n_c[z].sum(axis=0), n[z].sum(axis=0), np.nan)
 
 
 def success_ratio(outcome: SimOutcome, zoi, t: int) -> float:

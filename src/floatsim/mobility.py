@@ -8,6 +8,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class TrajectorySet:
     samples first[k]..first[k] + exit[k] - enter[k] of the per-sample
     columns pos (S, 2), speed and link, at ticks enter[k]..exit[k].
     `tracks` holds NodeTrack views into those columns, so each sample is
-    stored once; it is a tuple, because a set is built whole.
+    stored once; it is built on first use, and it is a tuple, because a set
+    is built whole.
     """
 
     def __init__(self, tick: float, horizon: int, tracks=(), dropped_samples: int = 0):
@@ -101,14 +103,18 @@ class TrajectorySet:
         self.first = np.cumsum(lens) - lens
         self.sample_base = self.first - self.enter      # track's sample at tick k: base + k
         self.pos, self.speed, self.link = pos, speed, link
-        self.tracks = tuple(
-            NodeTrack(n, k, pos[a:b], speed[a:b], link[a:b])
-            for n, k, a, b in zip(node, self.enter.tolist(), self.first.tolist(),
-                                  (self.first + lens).tolist()))
+        self._node = node
+
+    @cached_property
+    def tracks(self) -> tuple[NodeTrack, ...]:
+        ends = (self.exit - self.enter + 1 + self.first).tolist()
+        return tuple(NodeTrack(n, k, self.pos[a:b], self.speed[a:b], self.link[a:b])
+                     for n, k, a, b in zip(self._node, self.enter.tolist(),
+                                           self.first.tolist(), ends))
 
     @property
     def num_tracks(self) -> int:
-        return len(self.tracks)
+        return len(self.enter)
 
     def sample_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The track and the tick of every sample, in column order."""

@@ -6,21 +6,24 @@ The planner scores many candidate strategies through the learned surrogate,
 keeps the ones whose predicted success ratio clears the target with a safety
 margin, ranks the survivors by predicted cost, and verifies the cheapest few
 by full simulation.  The all-on strategy is always verified as well, so a
-feasible scenario can never end without a feasible plan.
+feasible scenario can never end without a feasible plan.  `verify` is the one
+simulated check of a strategy, shared by the planner, the anchor-zone
+baseline and the CLI's `evaluate` and `report`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import gen_random_schemes
-from .fcsim import SimContext, SimOutcome, safe_ratio, zoi_alpha
+from .fcsim import SimContext, SimOutcome
 from .mobility import MobilityFeatures
 from .rng import derive_seed
-from .scheme import CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, scheme_cost
+from .scheme import (CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, safe_ratio,
+                     scheme_cost, zoi_alpha)
 
 
 class ProblemInfeasibleError(RuntimeError):
@@ -57,6 +60,34 @@ class PlanResult:
     filtered: int                  # candidates surviving the margin filter
     verified: int                  # candidates simulated
     wall_clock_s: float
+
+
+@dataclass
+class Verification:
+    """One strategy simulated on each of a list of seeds."""
+    outcomes: list[SimOutcome]
+    costs: list[float]             # per seed
+    feasible_per_seed: list[bool]
+    cost: float                    # mean over the seeds
+    feasible: bool                 # on every seed
+    alpha: np.ndarray              # per interval, min over the seeds, NaN read as -1
+
+
+def verify(verifier: SimContext, schemes, req: ServiceRequest, w: CostWeights, seeds,
+           v_first: np.ndarray | None = None) -> list[Verification]:
+    """Simulate every strategy on every seed, all in one batch; the seeds
+    are common to the strategies, so their costs are exactly paired."""
+    schemes, seeds = list(schemes), list(seeds)
+    outs = verifier.run_many([scheme for scheme in schemes for _ in seeds],
+                             seeds * len(schemes), zoi=req.zoi, v_first=v_first)
+    checks = []
+    for c, scheme in enumerate(schemes):
+        runs = outs[c * len(seeds):(c + 1) * len(seeds)]
+        costs = [scheme_cost(out, scheme, w) for out in runs]
+        ok = [is_feasible(out, req) for out in runs]
+        alpha = np.min(np.stack([np.nan_to_num(out.alpha, nan=-1.0) for out in runs]), axis=0)
+        checks.append(Verification(runs, costs, ok, float(np.mean(costs)), all(ok), alpha))
+    return checks
 
 
 @dataclass
@@ -141,50 +172,46 @@ def _candidates(model, grid, req: ServiceRequest, T: int, opts: PlannerOptions,
 
 
 def _score(model, m, scheme, req, w, v_first):
+    """Predicted lowest success ratio over the intervals (NaN read as -1)
+    and predicted cost."""
     out = _predicted_outcome(model, m, scheme, v_first)
     alpha = zoi_alpha(out.n_c, out.n, req.zoi)
-    cost = scheme_cost(out, scheme, w)
-    return alpha, cost
+    return float(np.min(np.nan_to_num(alpha, nan=-1.0))), scheme_cost(out, scheme, w)
 
 
 def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
           opts: PlannerOptions, verifier: SimContext, seed: int,
           incumbent: FcScheme | None, v_first: np.ndarray | None) -> PlanResult:
+    """Score the candidates, shortlist them (margin survivors, the probation
+    band, the anchor-zone family and all-on), `verify` the shortlist in one
+    batch on the verify seeds, and return the cheapest feasible one."""
     start = time.perf_counter()
-    T = len(w.d_t)
-    grid = verifier.grid
-    cands, structured = _candidates(model, grid, req, T, opts, seed, incumbent)
+    cands, structured = _candidates(model, verifier.grid, req, len(w.d_t), opts, seed,
+                                    incumbent)
 
-    scored = []
-    for idx, scheme in enumerate(cands):
-        alpha, cost = _score(model, m, scheme, req, w, v_first)
-        scored.append((idx, scheme, alpha, cost))
+    scored = [(idx, scheme, *_score(model, m, scheme, req, w, v_first))
+              for idx, scheme in enumerate(cands)]
 
     # local perturbations of the best predicted-feasible candidate
     bar = req.alpha0 * (1.0 + opts.margin)
-    feas = [(c, i) for i, _, alpha, c in scored
-            if np.all(np.nan_to_num(alpha, nan=-1.0) >= bar)]
+    feas = [(c, i) for i, _, alpha, c in scored if alpha >= bar]
     if feas:
         best_idx = min(feas)[1]
         gen = np.random.default_rng(derive_seed(seed, 603))
         for _ in range(opts.n_perturb):
             extra = cands[best_idx].perturbed(opts.perturb_sigma, gen)
-            alpha, cost = _score(model, m, extra, req, w, v_first)
-            scored.append((len(scored), extra, alpha, cost))
+            scored.append((len(scored), extra, *_score(model, m, extra, req, w, v_first)))
 
-    survivors = [(cost, idx, scheme) for idx, scheme, alpha, cost in scored
-                 if np.all(np.nan_to_num(alpha, nan=-1.0) >= bar)]
-    survivors.sort(key=lambda r: (r[0], r[1]))
+    survivors = sorted(((cost, idx, scheme) for idx, scheme, alpha, cost in scored
+                        if alpha >= bar), key=lambda r: r[:2])
     shortlist = [(idx, scheme) for _, idx, scheme in survivors[:opts.verify_top_k]]
     # probation slots: predictions just below the margin bar are often merely
     # pessimistic near the feasibility boundary, where the cheapest feasible
     # strategies live; verification, not the filter, gets the final word there
     low_bar = req.alpha0 * (1.0 - opts.band_margin)
     band_k = opts.verify_top_k if opts.verify_band_k is None else opts.verify_band_k
-    band = [(cost, idx, scheme) for idx, scheme, alpha, cost in scored
-            if np.all(np.nan_to_num(alpha, nan=-1.0) >= low_bar)
-            and not np.all(np.nan_to_num(alpha, nan=-1.0) >= bar)]
-    band.sort(key=lambda r: (r[0], r[1]))
+    band = sorted(((cost, idx, scheme) for idx, scheme, alpha, cost in scored
+                   if low_bar <= alpha < bar), key=lambda r: r[:2])
     shortlist += [(idx, scheme) for _, idx, scheme in band[:band_k]]
     # the anchor-zone family is cheap to verify and hugs the feasibility
     # boundary, where surrogate error bites hardest: probe it head-on
@@ -198,35 +225,24 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
         shortlist.append((allon_idx, cands[allon_idx]))
     predicted_cost = {idx: cost for idx, _, _, cost in scored}
 
-    # common random numbers across candidates: costs are exactly paired;
-    # the whole shortlist runs as one batch
     verify_seeds = [derive_seed(seed, 701, v_i) for v_i in range(opts.verify_seeds)]
-    outs = verifier.run_many([scheme for _, scheme in shortlist for _ in verify_seeds],
-                             verify_seeds * len(shortlist), zoi=req.zoi, v_first=v_first)
-    verified_rows = []
-    for c, (idx, scheme) in enumerate(shortlist):
-        runs = outs[c * len(verify_seeds):(c + 1) * len(verify_seeds)]
-        costs = [scheme_cost(out, scheme, w) for out in runs]
-        alphas = [np.nan_to_num(out.alpha, nan=-1.0) for out in runs]
-        ok = all(is_feasible(out, req) for out in runs)
-        verified_rows.append((float(np.mean(costs)), idx, scheme,
-                              np.min(np.stack(alphas), axis=0), ok))
-
-    allon_row = next(r for r in verified_rows if r[1] == allon_idx)
-    if not allon_row[4]:
+    checks = verify(verifier, [scheme for _, scheme in shortlist], req, w, verify_seeds,
+                    v_first)
+    allon = checks[[idx for idx, _ in shortlist].index(allon_idx)]
+    if not allon.feasible:
         raise ProblemInfeasibleError(
             f"all-on verification missed alpha0={req.alpha0}: "
-            f"min alpha {float(np.min(allon_row[3])):.3f}")
+            f"min alpha {float(np.min(allon.alpha)):.3f}")
 
-    feasible_rows = sorted([r for r in verified_rows if r[4]], key=lambda r: (r[0], r[1]))
-    cost, idx, scheme, alpha, _ = feasible_rows[0]
+    feasible = [(v.cost, idx, scheme, v.alpha) for (idx, scheme), v in zip(shortlist, checks)
+                if v.feasible]
+    cost, idx, scheme, alpha = min(feasible, key=lambda r: r[:2])
     # fallback: all-on emitted though the normal filter/rank path produced nothing
-    fallback = (idx == allon_idx) and not any(
-        r[4] for r in verified_rows if r[1] != allon_idx) and not allon_in_shortlist
+    fallback = idx == allon_idx and len(feasible) == 1 and not allon_in_shortlist
     return PlanResult(scheme=scheme, predicted_cost=predicted_cost[idx],
                       verified_cost=cost, alpha=alpha, fallback=fallback,
                       examined=len(scored), filtered=len(survivors),
-                      verified=len(verified_rows),
+                      verified=len(shortlist),
                       wall_clock_s=time.perf_counter() - start)
 
 
@@ -256,12 +272,9 @@ def replan(model, outcome_so_far: SimOutcome, forecast_rest: MobilityFeatures,
     prev = t0 - 2
     v0 = _carried_availability(outcome_so_far.n_c[:, prev], outcome_so_far.n[:, prev])
     d_rest = np.asarray(req.d_t, dtype=float)[t0 - 1:]
-    w_rest = CostWeights(d_t=d_rest, content_bits=w.content_bits, beta=w.beta,
-                         delta=w.delta, theta=w.theta)
-    req_rest = ServiceRequest(zoi=req.zoi, alpha0=req.alpha0, d_t=d_rest)
     tail = incumbent.tail(t0) if incumbent is not None else None
-    return _plan(model, forecast_rest, req_rest, w_rest, opts, verifier, seed,
-                 tail, v_first=v0)
+    return _plan(model, forecast_rest, replace(req, d_t=d_rest), replace(w, d_t=d_rest),
+                 opts, verifier, seed, tail, v_first=v0)
 
 
 @dataclass
@@ -279,28 +292,22 @@ def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeigh
     until the simulated outcome is feasible; inside, replication, caching and
     per-interval seeding all run at full strength.
 
-    Feasibility and cost use the same paired verification seeds as the
-    planner, so baseline comparisons are free of common-noise artifacts.
-    `run_seeds`, when given, are the simulation seeds themselves, in place of
-    the `verify_seeds` seeds derived from `seed`.
+    Each radius, smallest first, is one `verify` batch on the planner's
+    verification seeds, so baseline comparisons are free of common-noise
+    artifacts; the sweep stops at the first feasible radius, or returns the
+    largest.  `run_seeds`, when given, are the simulation seeds themselves,
+    in place of the `verify_seeds` seeds derived from `seed`.
     """
-    radii = tuple(sorted(radii or default_radii(verifier.grid)))
-    if not radii:
-        raise ValueError("radius sweep must be non-empty")
+    radii = sorted(radii or default_radii(verifier.grid))
     if run_seeds is None:
         run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(verify_seeds)]
-    T = len(w.d_t)
     run_seeds = list(run_seeds)
-    last = None
     for radius in radii:
-        scheme = circular_scheme(verifier.grid, req.zoi, radius, T)
-        outs = verifier.run_many([scheme] * len(run_seeds), run_seeds, zoi=req.zoi)
-        costs = [scheme_cost(out, scheme, w) for out in outs]
-        ok = all(is_feasible(out, req) for out in outs)
-        last = AnchorZoneResult(scheme, float(radius), ok, float(np.mean(costs)))
-        if last.feasible:
-            return last
-    return last
+        scheme = circular_scheme(verifier.grid, req.zoi, radius, len(w.d_t))
+        v, = verify(verifier, [scheme], req, w, run_seeds)
+        if v.feasible:
+            break
+    return AnchorZoneResult(scheme, float(radius), v.feasible, v.cost)
 
 
 def full_infrastructure_baseline(zoi, L: int, T: int) -> FcScheme:

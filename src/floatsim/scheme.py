@@ -131,8 +131,21 @@ def scheme_cost(outcome, scheme: FcScheme, w: CostWeights) -> float:
     return float(usage + seeding)
 
 
+def safe_ratio(num, den, fill):
+    """num / den elementwise where den > 0, `fill` elsewhere: the form of
+    every success ratio and availability in the package."""
+    return np.where(den > 0, num / np.maximum(den, 1e-300), fill)
+
+
+def zoi_alpha(n_c, n, zoi) -> np.ndarray:
+    """Success ratio: the ZOI links' content holders over their nodes, from
+    per-link rows of (L, T) or (L,) holder and node counts; per interval,
+    NaN where the ZOI has no nodes."""
+    z = np.asarray(sorted(zoi), dtype=np.int64)
+    return safe_ratio(n_c[z].sum(axis=0), n[z].sum(axis=0), np.nan)
+
+
 def is_feasible(outcome, req: ServiceRequest) -> bool:
     """True iff the success ratio meets alpha0 in every interval; an interval
     with no ZOI traffic counts as infeasible."""
-    from .fcsim import zoi_alpha
     return bool(np.all(zoi_alpha(outcome.n_c, outcome.n, req.zoi) >= req.alpha0))

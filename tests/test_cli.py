@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,12 @@ from floatsim import cli
 from floatsim.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_INFEASIBLE, EXIT_OK,
                           ConfigError, RunLockedError, load_config, main, run_lock,
                           strategy_svg)
-from floatsim.fcsim import SimContext
+from floatsim.fcsim import ChannelModel, SimContext
 from floatsim.linktable import write_table
+from floatsim.plan import circular_scheme, default_radii, full_infrastructure_baseline
+from floatsim.rng import derive_seed
 from floatsim.roadnet import build_manhattan, grid_from_json
+from floatsim.scheme import all_on, is_feasible, scheme_cost
 
 TINY = {
     "seed": 5,
@@ -82,6 +87,19 @@ def test_invalid_config_lists_every_violation(tmp_path):
         assert key in text
     assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("radius_m", math.inf), ("edge_sinr_db", -math.inf),
+                                        ("edge_sinr_db", math.nan), ("sinr_cap_db", math.nan)])
+def test_non_finite_channel_value_is_a_config_error(tmp_path, capsys, key, value):
+    # JSON's Infinity and NaN parse to floats; they are rejected before any step runs
+    path = write_config(tmp_path, {"channel": {key: value}})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"channel.{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(**{**cli.DEFAULTS["channel"], key: value})
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -286,6 +304,44 @@ def test_all_on_plan_saves_exactly_nothing(tmp_path):
     assert rows["planned"]["cost"] == rows["all_on"]["cost"]
     assert rows["planned"]["feasible"] == rows["all_on"]["feasible"]
     assert float(rows["planned"]["savings_vs_all_on_pct"]) == 0.0
+
+
+def test_report_reference_rows_equal_lone_runs(tmp_path):
+    # the report verifies all-on and full infrastructure in one batch and
+    # sweeps the anchor zone radius by radius; each row must equal separate
+    # runs on the plan's first evaluate seeds
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    for step in ("grid", "mobility"):
+        assert main([step, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    grid = grid_from_json((out / "grid.json").read_text())
+    L, T = grid.num_links, 2
+    write_table(out / "plan.csv", asdict(all_on(L, T)))
+    for step in ("evaluate", "report"):
+        assert main([step, "--config", str(path), "--out", str(out),
+                     "--deterministic-svg"]) == EXIT_OK
+    cfg = load_config(str(path))
+    run = cli.Run(cfg, out, None)
+    req, w, ctx = run.request, run.weights, run.verifier
+    seeds = [derive_seed(cfg["seed"], 8, i)
+             for i in range(min(cli.REPORT_SEEDS, cfg["evaluate"]["seeds"]))]
+
+    def lone(scheme):
+        outs = [ctx.run(scheme, zoi=req.zoi, seed=s) for s in seeds]
+        return (float(np.mean([scheme_cost(o, scheme, w) for o in outs])),
+                all(is_feasible(o, req) for o in outs))
+
+    want = {"all_on": lone(all_on(L, T)),
+            "full_infrastructure": lone(full_infrastructure_baseline(req.zoi, L, T))}
+    for radius in sorted(default_radii(grid)):
+        want["circular_az"] = lone(circular_scheme(grid, req.zoi, radius, T))
+        if want["circular_az"][1]:
+            break
+    rows = {r["strategy"]: r for r in
+            csv.DictReader((out / "report" / "savings.csv").read_text().splitlines())}
+    for name, (cost, ok) in want.items():
+        assert float(rows[name]["cost"]) == cost, name
+        assert rows[name]["feasible"] == str(int(ok)), name
 
 
 def _drop_links(lines, *links):

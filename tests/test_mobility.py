@@ -7,6 +7,7 @@ import pytest
 from floatsim import (KMH, NodeTrack, SpeedModel, TrajectorySet, detect_contacts, load_traces,
                       mobility_features, simulate_manhattan)
 from floatsim import mobility
+from floatsim.cli import _write_trace_csv
 from floatsim.mobility import (ContactEvent, ContactTable, EmptyTraceError, IntervalRangeError,
                                TraceParseError, _walk_route)
 from floatsim.roadnet import build_manhattan, grid_from_json, grid_to_json
@@ -202,6 +203,33 @@ def test_walk_route_matches_intersection_search(name, monkeypatch):
 # ---------------------------------------------------------------------------
 # trace ingestion
 # ---------------------------------------------------------------------------
+
+def test_tracks_are_built_on_first_use(grid, tmp_path):
+    """simulate_manhattan and load_traces return column sets; the per-track
+    views are built once, when first read, and hold the tracks' samples."""
+    sim = simulate_manhattan(grid, 0.05, SpeedModel.uniform(20 * KMH, 30 * KMH),
+                             duration=120.0, seed=4, warmup_s=60.0)
+    _write_trace_csv(tmp_path / "trace.csv", sim)          # node id: the track index
+    loaded = load_traces(tmp_path / "trace.csv", grid)
+    for traj in (sim, loaded):
+        assert "tracks" not in vars(traj)
+        assert traj.num_tracks == len(traj.enter) > 0
+    for traj in (sim, loaded):
+        tracks = traj.tracks
+        assert isinstance(tracks, tuple) and traj.tracks is tracks
+        assert len(tracks) == traj.num_tracks
+        for k, tr in enumerate(tracks):
+            rows = slice(traj.first[k], traj.first[k] + traj.exit[k] - traj.enter[k] + 1)
+            assert tr.enter_tick == traj.enter[k]
+            for col in ("pos", "speed", "link"):
+                assert getattr(tr, col).tobytes() == getattr(traj, col)[rows].tobytes()
+                assert np.shares_memory(getattr(tr, col), getattr(traj, col))
+    assert [tr.node for tr in loaded.tracks] == list(range(sim.num_tracks))
+    for got, want in zip(loaded.tracks, sim.tracks):
+        assert got.enter_tick == want.enter_tick
+        for col in ("pos", "speed", "link"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+
 
 def test_load_traces_stationary_node(grid, tmp_path):
     mid = grid.links[4].midpoint

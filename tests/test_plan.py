@@ -8,7 +8,7 @@ from floatsim import (ChannelModel, CostWeights, ServiceRequest, SimContext,
 from floatsim.learn import SurrogateHyper, train_surrogate
 from floatsim.plan import (PlannerOptions, ProblemInfeasibleError, ReplanRangeError,
                            bootstrap, circular_az_baseline, circular_scheme,
-                           default_radii, full_infrastructure_baseline, replan)
+                           default_radii, full_infrastructure_baseline, replan, verify)
 from floatsim.rng import derive_seed
 from conftest import make_traj
 
@@ -266,3 +266,34 @@ def test_full_infrastructure_baseline(planning, grid):
     fi1 = full_infrastructure_baseline(req.zoi, grid.num_links, 1)
     o = ctx.run(fi1, zoi=req.zoi, seed=0)
     assert o.alpha[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode, carried", [("instantaneous", False), ("capacity", False),
+                                           ("instantaneous", True)])
+def test_verify_equals_lone_runs(grid, desk_traj, desk_contacts, mode, carried):
+    """verify's one batch gives each strategy the outcomes, costs and
+    feasibility of separate runs, and aggregates them bit for bit."""
+    ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8.0)
+    d_t = [150.0, 150.0]
+    ctx = SimContext(grid, desk_traj, desk_contacts, ch, d_t)
+    req = ServiceRequest(zoi=(0, 1, 2), alpha0=0.9, d_t=np.array(d_t))
+    w = CostWeights(d_t=req.d_t, content_bits=8 * 2 ** 20 * 8.0)
+    L = grid.num_links
+    schemes = [all_on(L, 2), circular_scheme(grid, req.zoi, 300.0, 2),
+               gen_random_schemes(1, L, 2, seed=9, style="iid")[0]]
+    seeds = [derive_seed(4, 701, v) for v in range(3)]
+    v_first = np.linspace(0.0, 1.0, L) if carried else None
+    checks = verify(ctx, schemes, req, w, seeds, v_first=v_first)
+    assert len(checks) == len(schemes)
+    for scheme, got in zip(schemes, checks):
+        lone = [ctx.run(scheme, zoi=req.zoi, seed=s, v_first=v_first) for s in seeds]
+        costs = [scheme_cost(o, scheme, w) for o in lone]
+        ok = [is_feasible(o, req) for o in lone]
+        alpha = np.min(np.stack([np.nan_to_num(o.alpha, nan=-1.0) for o in lone]), axis=0)
+        for a, b in zip(got.outcomes, lone):
+            assert a.n_c.tobytes() == b.n_c.tobytes() and a.v.tobytes() == b.v.tobytes()
+        assert got.costs == costs and got.feasible_per_seed == ok
+        assert got.cost == float(np.mean(costs)) and got.feasible == all(ok)
+        assert got.alpha.tobytes() == alpha.tobytes()
+    # the three strategies differ, so a mix-up of their runs would show
+    assert len({c.cost for c in checks}) == len(schemes)
