@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -37,8 +36,8 @@ from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
                    circular_az_baseline, full_infrastructure_baseline, verify)
 from .rng import derive_seed
 from .roadnet import build_manhattan, grid_from_json, grid_to_json, raster_embed
-from .scheme import (CostWeights, FcScheme, SchemeValueError, ServiceRequest, all_on,
-                     zoi_alpha)
+from .scheme import (CostWeights, FcScheme, SchemeValueError, ServiceRequest, SettingError,
+                     all_on, zoi_alpha)
 
 SUBCOMMANDS = ("grid", "mobility", "features", "dataset", "train",
                "bootstrap", "evaluate", "report", "pipeline")
@@ -51,10 +50,9 @@ EXIT_INFEASIBLE = 4
 REPORT_SEEDS = 3        # evaluate seeds the report's strategy comparison is paired on
 
 
-class ConfigError(ValueError):
-    def __init__(self, violations: list[str]):
-        super().__init__("invalid configuration:\n  - " + "\n  - ".join(violations))
-        self.violations = violations
+class ConfigError(SettingError):
+    def __str__(self):
+        return "invalid configuration:\n  - " + "\n  - ".join(self.violations)
 
 
 class DependencyError(RuntimeError):
@@ -68,7 +66,6 @@ class RunLockedError(RuntimeError):
 DEFAULTS: dict = {
     "seed": 7,
     "tick_s": 1.0,
-    "seeding_mode": "exact",
     "grid": {"kind": "manhattan", "rows": 5, "cols": 4, "block_side_m": 150.0,
              "path": None},
     "mobility": {"kind": "synthetic", "arrival_rate": 1.5, "duration_s": 3600.0,
@@ -81,19 +78,69 @@ DEFAULTS: dict = {
     "intervals": {"count": 1, "duration_s": 3600.0},
     "cost": {"beta": 1.0, "delta": 1.0, "theta": 1.0},
     "dataset": {"num_schemes": 1000, "style": "mixed"},
-    "model": {"raster_h": 9, "raster_w": 7, "conv_channels": 8, "kernel": 3,
-              "blocks": 1, "learning_rate": 0.05, "epochs": 15, "batch": 32,
-              "momentum": 0.9, "folds": 10, "patience": 10},
+    "model": {"raster_h": 9, "raster_w": 7,
+              **{k: v for k, v in asdict(SurrogateHyper()).items() if k != "seed"}},
     "baselines": {"knn_k": 5, "tree_depth": 8, "forest_trees": 10, "forest_depth": 8},
-    "planner": {"n_candidates": 24, "margin": 0.05, "verify_top_k": 5,
-                "verify_band_k": None, "band_margin": 0.15, "verify_struct_k": 4,
-                "verify_seeds": 3, "perturb_sigma": 0.1, "n_perturb": 6,
-                "az_radii": None},
+    "planner": asdict(PlannerOptions()),
     "request": {"zoi": "center", "center_count": 1, "alpha0": 0.9,
                 "intervals": {"count": 1, "duration_s": 3600.0}},
     "evaluate": {"seeds": 10},
     "split": {"test_fraction": 0.2},
 }
+SECTION_CLASSES = {"channel": ChannelModel, "model": SurrogateHyper, "planner": PlannerOptions}
+
+# Settings of a type other than their default's, or without a default (read
+# only where they apply).  An int is a number too; a bool is neither.
+KINDS: dict[str, tuple[type, ...]] = {
+    "grid.path": (str, type(None)), "mobility.trace_path": (str, type(None)),
+    "mobility.speed.kmh": (float,), "request.zoi": (str, list),
+    "intervals.durations_s": (list,), "request.intervals.durations_s": (list,),
+}
+_KIND_NAMES = {int: "an int", float: "a number", str: "a string", list: "a list",
+               type(None): "null"}
+
+
+def _is_a(value, kinds: tuple[type, ...]) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, kinds) or (float in kinds and isinstance(value, int)))
+
+
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
+
+
+def _above(low):
+    return lambda v: v > low, f"> {low}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, "one of " + ", ".join(choices)
+
+
+# what a setting's value must satisfy besides its type, outside the sections
+# that their dataclasses check (SECTION_CLASSES)
+LIMITS = {
+    "grid.kind": _one_of("manhattan", "file"), "grid.rows": _at_least(2),
+    "grid.cols": _at_least(2), "grid.block_side_m": _above(0),
+    "mobility.kind": _one_of("synthetic", "trace"), "mobility.arrival_rate": _at_least(0),
+    "mobility.duration_s": _above(0), "mobility.warmup_s": _at_least(0),
+    "mobility.speed.kind": _one_of("constant", "uniform"),
+    "mobility.speed.low_kmh": _above(0), "mobility.speed.kmh": _above(0),
+    "content_mb": _above(0), "tick_s": _above(0),
+    "intervals.count": _at_least(1), "intervals.duration_s": _above(0),
+    "intervals.durations_s": (lambda v: len(v) > 0 and all(_is_a(d, (float,)) and d > 0
+                                                           for d in v),
+                              "a non-empty list of positive numbers"),
+    "cost.beta": _at_least(0), "cost.delta": _at_least(0), "cost.theta": _at_least(0),
+    "dataset.num_schemes": _at_least(1), "dataset.style": _one_of("iid", "smoothed", "mixed"),
+    "model.raster_h": _at_least(2), "model.raster_w": _at_least(2),
+    "request.zoi": (lambda v: v == "center" or len(v) > 0
+                    and all(_is_a(z, (int,)) and z >= 0 for z in v),
+                    "'center' or a non-empty list of link ids"),
+    "request.center_count": _at_least(1), "request.alpha0": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "evaluate.seeds": _at_least(1), "split.test_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+LIMITS.update({"request." + key: LIMITS[key] for key in LIMITS if key.startswith("intervals.")})
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -116,6 +163,8 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
             user = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+        if not isinstance(user, dict):
+            raise ConfigError(["config must be a JSON object"])
     cfg = _deep_merge(DEFAULTS, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -123,114 +172,60 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
     return cfg
 
 
+def _setting_violations(node: dict, defaults: dict, prefix: str = ""):
+    """(kind, message) for each key of `node` and below that is no setting
+    ("key"), or whose value is of a type ("type") or out of LIMITS ("limit")."""
+    for key, value in node.items():
+        name = prefix + key
+        kinds = KINDS.get(name) or (type(defaults.get(key)),)
+        if key not in defaults and name not in KINDS:
+            yield "key", f"{name} is not a setting"
+        elif isinstance(defaults.get(key), dict):
+            if isinstance(value, dict):
+                yield from _setting_violations(value, defaults[key], name + ".")
+            else:
+                yield "type", f"{name} must be an object"
+        elif not _is_a(value, kinds):
+            yield "type", f"{name} must be " + " or ".join(_KIND_NAMES[k] for k in kinds)
+        elif name in LIMITS and not LIMITS[name][0](value):
+            yield "limit", f"{name} must be {LIMITS[name][1]}"
+
+
 def validate_config(cfg: dict) -> None:
-    bad: list[str] = []
-
-    def check(ok: bool, msg: str):
-        if not ok:
-            bad.append(msg)
-
-    g = cfg["grid"]
-    check(g["kind"] in ("manhattan", "file"), f"grid.kind {g['kind']!r} unknown")
-    if g["kind"] == "manhattan":
-        check(isinstance(g["rows"], int) and g["rows"] >= 2, "grid.rows must be an int >= 2")
-        check(isinstance(g["cols"], int) and g["cols"] >= 2, "grid.cols must be an int >= 2")
-        check(g["block_side_m"] > 0, "grid.block_side_m must be positive")
-    else:
-        check(bool(g.get("path")) and Path(g["path"]).is_file(),
-              f"grid.path does not exist: {g.get('path')}")
-
-    mob = cfg["mobility"]
-    check(mob["kind"] in ("synthetic", "trace"), f"mobility.kind {mob['kind']!r} unknown")
-    if mob["kind"] == "synthetic":
-        check(mob["arrival_rate"] >= 0, "mobility.arrival_rate must be >= 0")
-        check(mob["duration_s"] > 0, "mobility.duration_s must be positive")
-        check(mob["warmup_s"] >= 0, "mobility.warmup_s must be >= 0")
-        sp = mob["speed"]
-        check(sp["kind"] in ("constant", "uniform"), f"speed.kind {sp['kind']!r} unknown")
-        if sp["kind"] == "uniform":
-            check(0 < sp["low_kmh"] <= sp["high_kmh"], "speed range must satisfy 0 < low <= high")
-        else:
-            check(sp.get("kmh", 0) > 0, "speed.kmh must be positive")
-    else:
-        check(bool(mob.get("trace_path")) and Path(mob["trace_path"]).is_file(),
-              f"mobility.trace_path does not exist: {mob.get('trace_path')}")
-
-    ch = cfg["channel"]
-    for name in ("bandwidth_hz", "edge_sinr_db", "path_loss_exp", "radius_m", "sinr_cap_db"):
-        check(isinstance(ch[name], (int, float)) and math.isfinite(ch[name]),
-              f"channel.{name} must be a finite number")
-    check(ch["bandwidth_hz"] > 0, "channel.bandwidth_hz must be positive")
-    check(ch["path_loss_exp"] >= 2, "channel.path_loss_exp must be >= 2")
-    check(ch["radius_m"] > 0, "channel.radius_m must be positive")
-    check(ch["mode"] in ("capacity", "instantaneous"), f"channel.mode {ch['mode']!r} unknown")
-    check(cfg["content_mb"] > 0, "content_mb must be positive")
-    check(cfg["tick_s"] > 0, "tick_s must be positive")
-    check(cfg["seeding_mode"] in ("exact", "floor"),
-          f"seeding_mode {cfg['seeding_mode']!r} unknown")
-
-    for label, node in (("intervals", cfg["intervals"]),
-                        ("request.intervals", cfg["request"]["intervals"])):
-        n_bad = len(bad)
-        if "durations_s" in node:
-            check(all(d > 0 for d in node["durations_s"]),
-                  f"{label}.durations_s must all be positive")
-        else:
-            check(node.get("count", 0) >= 1, f"{label}.count must be >= 1")
-            check(node.get("duration_s", 0) > 0, f"{label}.duration_s must be positive")
-        if len(bad) > n_bad or cfg["tick_s"] <= 0:
-            continue
-        d_t = _durations(node)
-        try:
-            interval_ticks(d_t, cfg["tick_s"])
-        except ValueError:
-            bad.append(f"{label} durations must be whole multiples of tick_s")
-        if mob["kind"] == "synthetic":
-            check(sum(d_t) <= mob["duration_s"] + 1e-9,
-                  f"{label} cover {sum(d_t)} s, more than mobility.duration_s")
-
-    cost = cfg["cost"]
-    check(cost["beta"] >= 0 and cost["delta"] >= 0, "cost.beta and cost.delta must be >= 0")
-    check(cost["theta"] >= 0, "cost.theta must be >= 0")
-
-    ds = cfg["dataset"]
-    check(ds["num_schemes"] >= 1, "dataset.num_schemes must be >= 1")
-    check(ds["style"] in ("iid", "smoothed", "mixed"), f"dataset.style {ds['style']!r} unknown")
-
-    mdl = cfg["model"]
-    check(mdl["raster_h"] >= 2 and mdl["raster_w"] >= 2, "model raster must be at least 2x2")
-    check(mdl["kernel"] % 2 == 1, "model.kernel must be odd")
-    check(mdl["epochs"] >= 0 and mdl["folds"] >= 2, "model.epochs >= 0 and model.folds >= 2")
-    check(0 < mdl["learning_rate"] < 1, "model.learning_rate out of range")
-
-    req = cfg["request"]
-    check(0 < req["alpha0"] <= 1, "request.alpha0 must lie in (0, 1]")
-    if req["zoi"] != "center":
-        check(isinstance(req["zoi"], list) and len(req["zoi"]) > 0
-              and all(isinstance(z, int) and z >= 0 for z in req["zoi"]),
-              "request.zoi must be 'center' or a non-empty list of link ids")
-    else:
-        check(req["center_count"] >= 1, "request.center_count must be >= 1")
-
-    pl = cfg["planner"]
-    check(pl["n_candidates"] >= 1, "planner.n_candidates must be >= 1")
-    check(pl["margin"] >= 0, "planner.margin must be >= 0")
-    check(pl["verify_top_k"] >= 1 and pl["verify_seeds"] >= 1,
-          "planner verify settings must be >= 1")
-    check(cfg["evaluate"]["seeds"] >= 1, "evaluate.seeds must be >= 1")
-    check(0 < cfg["split"]["test_fraction"] < 1, "split.test_fraction must be in (0, 1)")
-
-    # these sections are passed to their dataclasses by field name
-    takes = {"channel": {f.name for f in fields(ChannelModel)} - {"content_bits"},
-             "model": {f.name for f in fields(SurrogateHyper)} - {"seed"}
-             | {"raster_h", "raster_w"},
-             "planner": {f.name for f in fields(PlannerOptions)}}
-    for section, names in takes.items():
-        bad.extend(f"{section}.{key} is not a setting"
-                   for key in sorted(set(cfg[section]) - names))
-
-    if bad:
-        raise ConfigError(bad)
+    """Raise ConfigError naming the keys that are no setting, the values of a wrong
+    type, else those out of range, else the broken rules between settings."""
+    found: dict[str, list[str]] = {"key": [], "type": [], "limit": []}
+    for kind, message in _setting_violations(cfg, DEFAULTS):
+        found[kind].append(message)
+    bad = found["type"] + found["limit"]
+    if not found["type"]:
+        for section in SECTION_CLASSES:
+            try:
+                settings(cfg, section)
+            except SettingError as exc:
+                bad.extend(f"{section}.{v}" for v in exc.violations)
+    if not bad:
+        grid, mob, speed = cfg["grid"], cfg["mobility"], cfg["mobility"]["speed"]
+        rules = [(grid["kind"] != "file" or Path(grid["path"] or "").is_file(),
+                  f"grid.path does not exist: {grid['path']}"),
+                 (mob["kind"] != "trace" or Path(mob["trace_path"] or "").is_file(),
+                  f"mobility.trace_path does not exist: {mob['trace_path']}"),
+                 (speed["kind"] != "uniform" or speed["low_kmh"] <= speed["high_kmh"],
+                  "mobility.speed.low_kmh must be <= high_kmh"),
+                 (speed["kind"] != "constant" or "kmh" in speed,
+                  "mobility.speed.kmh must be set for a constant speed")]
+        for label, node in (("intervals", cfg["intervals"]),
+                            ("request.intervals", cfg["request"]["intervals"])):
+            d_t = _durations(node)
+            try:
+                interval_ticks(d_t, cfg["tick_s"])
+            except ValueError:
+                rules.append((False, f"{label} durations must be whole multiples of tick_s"))
+            rules.append((mob["kind"] != "synthetic" or sum(d_t) <= mob["duration_s"] + 1e-9,
+                          f"{label} cover {sum(d_t)} s, more than mobility.duration_s"))
+        bad = [message for ok, message in rules if not ok]
+    if bad or found["key"]:
+        raise ConfigError(bad + found["key"])
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +240,15 @@ def _durations(node: dict) -> list[float]:
 
 def _content_bits(cfg: dict) -> float:
     return cfg["content_mb"] * (2 ** 20) * 8.0
+
+
+def settings(cfg: dict, section: str, **program_set):
+    """The `channel`, `model` or `planner` section as its dataclass, with
+    the fields the program sets (`content_bits`, `seed`) passed on."""
+    cls = SECTION_CLASSES[section]
+    takes = {f.name for f in fields(cls)}
+    return cls(**{key: cfg[section][key] for key in DEFAULTS[section] if key in takes},
+               **program_set)
 
 
 def _speed_model(cfg: dict) -> SpeedModel:
@@ -264,17 +268,13 @@ def _zoi(cfg: dict, grid) -> tuple[int, ...]:
     return tuple(sorted(set(req["zoi"])))
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
 
 def _write_manifest(out: Path, cfg: dict) -> None:
-    manifest = {"config_sha256": config_hash(cfg), "seed": cfg["seed"],
-                "tool": "floatsim"}
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    manifest = {"config_sha256": digest, "seed": cfg["seed"], "tool": "floatsim"}
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
@@ -325,7 +325,7 @@ class Run:
 
     @cached_property
     def channel(self) -> ChannelModel:
-        return ChannelModel(**self.cfg["channel"], content_bits=_content_bits(self.cfg))
+        return settings(self.cfg, "channel", content_bits=_content_bits(self.cfg))
 
     @cached_property
     def request(self) -> ServiceRequest:
@@ -356,7 +356,7 @@ class Run:
     @cached_property
     def verifier(self) -> SimContext:
         return SimContext(self.grid, self.traj, self.contacts, self.channel,
-                          self.request.d_t, seeding_mode=self.cfg["seeding_mode"])
+                          self.request.d_t)
 
 
 class run_lock:
@@ -481,8 +481,7 @@ def cmd_dataset(run: Run) -> None:
                                  len(d_t), seed=derive_seed(cfg["seed"], 2),
                                  style=cfg["dataset"]["style"], embedding=embedding)
     pairs = build_dataset(run.traj, grid, d_t, schemes, run.channel,
-                          seed=derive_seed(cfg["seed"], 3), contacts=run.contacts,
-                          seeding_mode=cfg["seeding_mode"])
+                          seed=derive_seed(cfg["seed"], 3), contacts=run.contacts)
     save_dataset(run.out / "dataset", pairs, grid, run.channel, d_t, cfg["tick_s"])
     rows = len(pairs) * grid.num_links * len(d_t)
     print(f"dataset: {len(pairs)} pairs, {rows} feature rows")
@@ -492,11 +491,8 @@ def cmd_train(run: Run) -> None:
     cfg, grid, req = run.cfg, run.grid, run.request
     pairs, _ = load_dataset(run.require("dataset/pairs.csv", "dataset").parent)
     embedding = raster_embed(grid, cfg["model"]["raster_h"], cfg["model"]["raster_w"])
-    mdl = cfg["model"]
-    hyper = SurrogateHyper(**{k: v for k, v in mdl.items()
-                              if k not in ("raster_h", "raster_w")},
-                           seed=derive_seed(cfg["seed"], 4))
-    result = train_surrogate(pairs, embedding, hyper=hyper)
+    result = train_surrogate(pairs, embedding,
+                             hyper=settings(cfg, "model", seed=derive_seed(cfg["seed"], 4)))
     save_model(result.model, run.out / "model.bin")
     with open(run.out / "metrics.csv", "w") as fh:
         fh.write("fold,train_mse,val_mse\n")
@@ -539,11 +535,8 @@ def cmd_bootstrap(run: Run) -> None:
     model = load_model(run.require("model.bin", "train"))
     # perfect forecast: the measured mobility features of the request horizon
     forecast = mobility_features(run.traj, run.contacts, run.grid, req.d_t)
-    pl = run.cfg["planner"]
-    radii = pl["az_radii"]
-    opts = PlannerOptions(**{**pl, "az_radii": tuple(radii) if radii else None})
-    result = bootstrap(model, forecast, req, run.weights, opts, run.verifier,
-                       seed=derive_seed(run.cfg["seed"], 7))
+    result = bootstrap(model, forecast, req, run.weights, settings(run.cfg, "planner"),
+                       run.verifier, seed=derive_seed(run.cfg["seed"], 7))
     write_table(run.out / "plan.csv", asdict(result.scheme))
     summary = {"predicted_cost": result.predicted_cost,
                "verified_cost": result.verified_cost,
@@ -698,8 +691,7 @@ def cmd_report(run: Run) -> None:
     seeds = [derive_seed(cfg["seed"], 8, i) for i in range(n_paired)]
     allon, fi = verify(run.verifier, [all_on(L, T), full_infrastructure_baseline(req.zoi, L, T)],
                        req, run.weights, seeds)
-    az = circular_az_baseline(run.verifier, req, run.weights,
-                              radii=cfg["planner"]["az_radii"], run_seeds=seeds)
+    az = circular_az_baseline(run.verifier, req, run.weights, run_seeds=seeds)
     plan_cost = float(np.mean(verdict["cost_per_seed"][:n_paired]))
     plan_ok = all(verdict["feasible_per_seed"][:n_paired])
     with open(report / "savings.csv", "w") as fh:

@@ -259,18 +259,17 @@ def gen_random_schemes(K: int, L: int, T: int, seed: int, style: str = "mixed",
 
 def build_dataset(traj: TrajectorySet, grid: RoadGrid, d_t, schemes: list[FcScheme],
                   channel: ChannelModel, seed: int,
-                  contacts: ContactTable | None = None,
-                  seeding_mode: str = "exact", scenario: str = "sim") -> list[TrainingPair]:
+                  contacts: ContactTable | None = None) -> list[TrainingPair]:
     """Simulate every scheme over the trajectories; all pairs share one
     mobility-feature array.  Per-scheme seeds derive from the master seed."""
     if contacts is None:
         contacts = detect_contacts(traj, channel.radius_m)
     m = mobility_features(traj, contacts, grid, d_t)
-    ctx = SimContext(grid, traj, contacts, channel, d_t, seeding_mode=seeding_mode)
+    ctx = SimContext(grid, traj, contacts, channel, d_t)
     run_seeds = [derive_seed(seed, 301, k) for k in range(len(schemes))]
     outs = ctx.run_many(schemes, run_seeds)
     return [TrainingPair(m=m, scheme=scheme, c=CommFeatures(out.n_c, out.gamma),
-                         scenario=scenario, seed=run_seed)
+                         scenario="sim", seed=run_seed)
             for scheme, run_seed, out in zip(schemes, run_seeds, outs)]
 
 

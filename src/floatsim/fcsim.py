@@ -27,7 +27,7 @@ from . import rng
 from .mobility import (ContactEvent, ContactTable, TrajectorySet, interval_of_tick,
                        interval_ticks)
 from .roadnet import RoadGrid
-from .scheme import FcScheme, safe_ratio, zoi_alpha
+from .scheme import FcScheme, check_settings, safe_ratio, zoi_alpha
 
 
 class ShapeError(ValueError):
@@ -58,21 +58,18 @@ class ChannelModel:
     content_bits: float | None = None   # required for capacity-mode runs
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.path_loss_exp < 2:
-            raise ValueError("path-loss exponent must be >= 2")
-        if not 0 < self.radius_m < math.inf:
-            raise ValueError(f"radius must be positive and finite, not {self.radius_m}")
-        for name in ("edge_sinr_db", "sinr_cap_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
-        if self.mode not in ("capacity", "instantaneous"):
-            raise ValueError(f"unknown transfer mode {self.mode!r}")
+        numbers = ("bandwidth_hz", "edge_sinr_db", "path_loss_exp", "radius_m", "sinr_cap_db")
+        check_settings([(math.isfinite(getattr(self, name)),
+                         f"{name} must be a finite number, not {getattr(self, name)}")
+                        for name in numbers] + [
+            (self.bandwidth_hz > 0, "bandwidth_hz must be positive"),
+            (self.path_loss_exp >= 2, "path_loss_exp must be >= 2"),
+            (0 < self.radius_m < math.inf,
+             f"radius_m must be positive and finite, not {self.radius_m}"),
+            (self.mode in ("capacity", "instantaneous"), f"mode {self.mode!r} unknown")])
         self.edge_sinr = 10.0 ** (self.edge_sinr_db / 10.0)
         self.sinr_cap = 10.0 ** (self.sinr_cap_db / 10.0)
-        if self.edge_sinr <= 0:
-            raise ValueError("edge SINR must be positive")
+        check_settings([(self.edge_sinr > 0, "edge_sinr_db must give a positive SINR")])
 
 
 def capacity(ch: ChannelModel, d: float) -> float:
@@ -158,16 +155,12 @@ class SimContext:
     scheme runs share.  Immutable once built; run() has no side effects."""
 
     def __init__(self, grid: RoadGrid, traj: TrajectorySet,
-                 contacts: ContactTable | list[ContactEvent], channel: ChannelModel, d_t,
-                 seeding_mode: str = "exact"):
-        if seeding_mode not in ("exact", "floor"):
-            raise ValueError(f"unknown seeding_mode {seeding_mode!r}")
+                 contacts: ContactTable | list[ContactEvent], channel: ChannelModel, d_t):
         self.grid = grid
         self.traj = traj
         self.contacts = contacts = ContactTable.of(contacts)
         self.channel = channel
         self.d_t = np.asarray(d_t, dtype=float)
-        self.seeding_mode = seeding_mode
         self.tick = traj.tick
         self.L = grid.num_links
         self.T = len(self.d_t)
@@ -444,16 +437,11 @@ class SimContext:
         old = holds[:, tids]
         # one sort for every run: (run, link) groups, best priority first
         key = (np.arange(R)[:, None] * L + links).ravel()
-        limit = target.ravel()
-        if self.seeding_mode == "exact":
-            order = np.lexsort((u, key))
-        else:  # floor: holders sort ahead of non-holders and are never dropped
-            order = np.lexsort((u, ~old.ravel(), key))
-            limit = np.maximum(limit, np.bincount(key[old.ravel()], minlength=R * L))
+        order = np.lexsort((u, key))
         sorted_key = key[order]
         rank = np.arange(R * n) - np.searchsorted(sorted_key, sorted_key, side="left")
         new = np.empty(R * n, dtype=bool)
-        new[order] = rank < limit[sorted_key]
+        new[order] = rank < target.ravel()[sorted_key]
         counts[:] = self._count(key[new], R)
         new = new.reshape(R, n)
         up = new & ~old
@@ -800,9 +788,8 @@ class _Transfers:
 
 def run_fc(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent], scheme: FcScheme,
            channel: ChannelModel, d_t, *, grid: RoadGrid, zoi=None, seed: int = 0,
-           seeding_mode: str = "exact", record_holders: bool = False, v_first=None,
-           debug_ledger: bool = False) -> SimOutcome:
+           record_holders: bool = False, v_first=None, debug_ledger: bool = False) -> SimOutcome:
     """One-shot convenience wrapper around SimContext for single runs."""
-    ctx = SimContext(grid, traj, contacts, channel, d_t, seeding_mode=seeding_mode)
-    return ctx.run(scheme, zoi=zoi, seed=seed, record_holders=record_holders,
-                   v_first=v_first, debug_ledger=debug_ledger)
+    return SimContext(grid, traj, contacts, channel, d_t).run(
+        scheme, zoi=zoi, seed=seed, record_holders=record_holders, v_first=v_first,
+        debug_ledger=debug_ledger)

@@ -24,7 +24,7 @@ from ..dataset import CommFeatures, Normalizer, TrainingPair, fit_normalizer, li
 from ..mobility import MobilityFeatures
 from ..roadnet import RasterEmbedding
 from ..rng import derive_seed
-from ..scheme import FcScheme
+from ..scheme import FcScheme, check_settings
 from .layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Softplus
 
 INPUT_CHANNELS = 7    # the dataset.link_inputs stack
@@ -57,6 +57,12 @@ class SurrogateHyper:
     folds: int = 10
     patience: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        check_settings([(self.kernel % 2 == 1, "kernel must be odd"),
+                        (self.epochs >= 0, "epochs must be >= 0"),
+                        (self.folds >= 2, "folds must be >= 2"),
+                        (0 < self.learning_rate < 1, "learning_rate must lie in (0, 1)")])
 
 
 class SurrogateModel:

@@ -22,8 +22,8 @@ from .dataset import gen_random_schemes
 from .fcsim import SimContext, SimOutcome
 from .mobility import MobilityFeatures
 from .rng import derive_seed
-from .scheme import (CostWeights, FcScheme, ServiceRequest, all_on, is_feasible, safe_ratio,
-                     scheme_cost, zoi_alpha)
+from .scheme import (CostWeights, FcScheme, ServiceRequest, all_on, check_settings,
+                     is_feasible, safe_ratio, scheme_cost, zoi_alpha)
 
 
 class ProblemInfeasibleError(RuntimeError):
@@ -35,18 +35,22 @@ class ReplanRangeError(ValueError):
     pass
 
 
+MARGIN = 0.05           # predicted alpha must clear alpha0 * (1 + MARGIN)
+BAND_MARGIN = 0.15      # probation band floor: alpha0 * (1 - BAND_MARGIN)
+VERIFY_STRUCT_K = 4     # anchor-zone family slots verified regardless
+PERTURB_SIGMA = 0.1     # spread of a perturbed copy of a candidate
+N_PERTURB = 6           # perturbed copies of the incumbent and of the best candidate
+
+
 @dataclass
 class PlannerOptions:
     n_candidates: int = 24        # random candidates (extremes are added on top)
-    margin: float = 0.05          # predicted alpha must clear alpha0 * (1 + margin)
-    verify_top_k: int = 5
-    verify_band_k: int | None = None   # extra probation slots near the target
-    band_margin: float = 0.15     # probation band floor: alpha0 * (1 - band_margin)
-    verify_struct_k: int = 4      # anchor-zone family slots verified regardless
+    verify_top_k: int = 5         # margin survivors verified, and probation slots
     verify_seeds: int = 3
-    perturb_sigma: float = 0.1
-    n_perturb: int = 6
-    az_radii: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        check_settings([(getattr(self, count) >= 1, f"{count} must be >= 1")
+                        for count in ("n_candidates", "verify_top_k", "verify_seeds")])
 
 
 @dataclass
@@ -151,8 +155,7 @@ def _candidates(model, grid, req: ServiceRequest, T: int, opts: PlannerOptions,
     L = grid.num_links
     cands: list[FcScheme] = [all_on(L, T)]
     structured: set[int] = set()
-    radii = opts.az_radii or default_radii(grid)
-    for radius in radii:
+    for radius in default_radii(grid):
         structured.add(len(cands))
         cands.append(circular_scheme(grid, req.zoi, radius, T))                      # classic
         if T > 1:
@@ -166,8 +169,7 @@ def _candidates(model, grid, req: ServiceRequest, T: int, opts: PlannerOptions,
     if incumbent is not None:
         cands.append(incumbent.copy())
         gen = np.random.default_rng(derive_seed(seed, 602))
-        cands.extend(incumbent.perturbed(opts.perturb_sigma, gen)
-                     for _ in range(opts.n_perturb))
+        cands.extend(incumbent.perturbed(PERTURB_SIGMA, gen) for _ in range(N_PERTURB))
     return cands, structured
 
 
@@ -193,13 +195,13 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
               for idx, scheme in enumerate(cands)]
 
     # local perturbations of the best predicted-feasible candidate
-    bar = req.alpha0 * (1.0 + opts.margin)
+    bar = req.alpha0 * (1.0 + MARGIN)
     feas = [(c, i) for i, _, alpha, c in scored if alpha >= bar]
     if feas:
         best_idx = min(feas)[1]
         gen = np.random.default_rng(derive_seed(seed, 603))
-        for _ in range(opts.n_perturb):
-            extra = cands[best_idx].perturbed(opts.perturb_sigma, gen)
+        for _ in range(N_PERTURB):
+            extra = cands[best_idx].perturbed(PERTURB_SIGMA, gen)
             scored.append((len(scored), extra, *_score(model, m, extra, req, w, v_first)))
 
     survivors = sorted(((cost, idx, scheme) for idx, scheme, alpha, cost in scored
@@ -208,17 +210,16 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
     # probation slots: predictions just below the margin bar are often merely
     # pessimistic near the feasibility boundary, where the cheapest feasible
     # strategies live; verification, not the filter, gets the final word there
-    low_bar = req.alpha0 * (1.0 - opts.band_margin)
-    band_k = opts.verify_top_k if opts.verify_band_k is None else opts.verify_band_k
+    low_bar = req.alpha0 * (1.0 - BAND_MARGIN)
     band = sorted(((cost, idx, scheme) for idx, scheme, alpha, cost in scored
                    if low_bar <= alpha < bar), key=lambda r: r[:2])
-    shortlist += [(idx, scheme) for _, idx, scheme in band[:band_k]]
+    shortlist += [(idx, scheme) for _, idx, scheme in band[:opts.verify_top_k]]
     # the anchor-zone family is cheap to verify and hugs the feasibility
     # boundary, where surrogate error bites hardest: probe it head-on
     taken = {idx for idx, _ in shortlist}
     struct_rows = sorted((cost, idx, scheme) for idx, scheme, _, cost in scored
                          if idx in structured and idx not in taken)
-    shortlist += [(idx, scheme) for _, idx, scheme in struct_rows[:opts.verify_struct_k]]
+    shortlist += [(idx, scheme) for _, idx, scheme in struct_rows[:VERIFY_STRUCT_K]]
     allon_idx = 0                      # all-on is always the first candidate
     allon_in_shortlist = any(idx == allon_idx for idx, _ in shortlist)
     if not allon_in_shortlist:        # always verify the fallback strategy
@@ -286,8 +287,7 @@ class AnchorZoneResult:
 
 
 def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeights,
-                         radii=None, seed: int = 0, verify_seeds: int = 3,
-                         run_seeds=None) -> AnchorZoneResult:
+                         radii=None, seed: int = 0, run_seeds=None) -> AnchorZoneResult:
     """Classic anchor-zone dimensioning: grow a circle around the ZOI centroid
     until the simulated outcome is feasible; inside, replication, caching and
     per-interval seeding all run at full strength.
@@ -296,11 +296,11 @@ def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeigh
     verification seeds, so baseline comparisons are free of common-noise
     artifacts; the sweep stops at the first feasible radius, or returns the
     largest.  `run_seeds`, when given, are the simulation seeds themselves,
-    in place of the `verify_seeds` seeds derived from `seed`.
+    in place of the planner's default number of them derived from `seed`.
     """
     radii = sorted(radii or default_radii(verifier.grid))
     if run_seeds is None:
-        run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(verify_seeds)]
+        run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(PlannerOptions.verify_seeds)]
     run_seeds = list(run_seeds)
     for radius in radii:
         scheme = circular_scheme(verifier.grid, req.zoi, radius, len(w.d_t))

@@ -21,6 +21,20 @@ class CostShapeError(ValueError):
     pass
 
 
+class SettingError(ValueError):
+    """Broken rules of some settings, one message each, led by the field's name."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("; ".join(violations))
+        self.violations = violations
+
+
+def check_settings(rules) -> None:
+    """Raise SettingError naming every (ok, message) rule whose ok is false."""
+    if bad := [message for ok, message in rules if not ok]:
+        raise SettingError(bad)
+
+
 @dataclass
 class FcScheme:
     """An L-by-T array of (a, b, s) triples in [0, 1]."""

@@ -193,19 +193,12 @@ def _seed_clamp(ctx, holds, tids, links, s_t, k, seed, seeded_col, dropped_col):
     counts = np.bincount(links, minlength=ctx.L)
     target = np.floor(s_t * counts + 0.5).astype(np.int64)
     old = holds[tids]
-    if ctx.seeding_mode == "exact":
-        order = np.lexsort((u, links))
-    else:
-        order = np.lexsort((u, ~old, links))
+    order = np.lexsort((u, links))
     sorted_links = links[order]
     group_start = np.searchsorted(sorted_links, sorted_links, side="left")
     rank = np.arange(len(tids)) - group_start
-    limit = target
-    if ctx.seeding_mode == "floor":
-        cur = np.bincount(links[old], minlength=ctx.L)
-        limit = np.maximum(target, cur)
     new = np.empty(len(tids), dtype=bool)
-    new[order] = rank < limit[sorted_links]
+    new[order] = rank < target[sorted_links]
     up = new & ~old
     down = old & ~new
     np.add.at(seeded_col, links[up], 1)

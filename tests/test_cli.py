@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatsim import cli
 from floatsim.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_INFEASIBLE, EXIT_OK,
@@ -18,7 +20,7 @@ from floatsim.fcsim import ChannelModel, SimContext
 from floatsim.linktable import write_table
 from floatsim.plan import circular_scheme, default_radii, full_infrastructure_baseline
 from floatsim.rng import derive_seed
-from floatsim.roadnet import build_manhattan, grid_from_json
+from floatsim.roadnet import build_manhattan, grid_from_json, grid_to_json
 from floatsim.scheme import all_on, is_feasible, scheme_cost
 
 TINY = {
@@ -100,6 +102,123 @@ def test_non_finite_channel_value_is_a_config_error(tmp_path, capsys, key, value
     assert not out.exists()
     with pytest.raises(ValueError, match="finite"):
         ChannelModel(**{**cli.DEFAULTS["channel"], key: value})
+
+
+def _leaves(node, prefix=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _nested(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+def _json_kind(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+# the leaves that take a second type besides their default's
+OTHER_KIND = {("grid", "path"): "str", ("mobility", "trace_path"): "str",
+              ("request", "zoi"): "list"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_leaves(cli.DEFAULTS))),
+       value=st.one_of(st.text(max_size=8),
+                       st.lists(st.integers(-3, 3) | st.text(max_size=3), max_size=3),
+                       st.none(), st.booleans(),
+                       st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)))
+def test_a_setting_of_another_type_is_a_config_error(tmp_path_factory, path, value):
+    config = tmp_path_factory.mktemp("cfg") / "config.json"
+    config.write_text(json.dumps(_nested(path, value)))
+    try:
+        cfg = load_config(str(config))
+    except ConfigError:
+        return
+    got, default = cfg, cli.DEFAULTS
+    for key in path:
+        got, default = got[key], default[key]
+    kinds = {_json_kind(default), OTHER_KIND.get(path)}
+    if "float" in kinds:
+        kinds.add("int")
+    assert _json_kind(got) in kinds, f"{'.'.join(path)} = {got!r}"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"channel": {"radius_m": "100"}}, "channel.radius_m must be a number"),
+    ({"grid": {"block_side_m": "150"}}, "grid.block_side_m must be a number"),
+    ({"channel": {"radius_m": True}}, "channel.radius_m must be a number"),
+    ({"mobility": {"speed": {"kind": "constant", "kmh": "20"}}},
+     "mobility.speed.kmh must be a number"),
+    ({"intervals": {"durations_s": [120.0, "120"]}},
+     "intervals.durations_s must be a non-empty list of positive numbers"),
+    ({"request": {"zoi": [1, True]}}, "request.zoi must be 'center' or a non-empty list"),
+    ({"grid": []}, "grid must be an object"),
+] + [(_nested(key.split("."), 2.0), f"{key} must be an int")
+     for key in ("grid.rows", "dataset.num_schemes", "request.center_count", "evaluate.seeds",
+                 "intervals.count", "planner.n_candidates", "planner.verify_top_k",
+                 "planner.verify_seeds", "seed")])
+def test_a_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, keys", [
+    ({"seeding_mod": "floor", "evalute": {"seeds": 2}}, ["seeding_mod", "evalute"]),
+    # the removed seeding clamp's setting, in two parts, so that a search of
+    # the sources for its name finds no use of it
+    ({"seeding" "_mode": "floor"}, ["seeding" "_mode"]),
+    ({"planner": {"margin": 0.1, "verify_band_k": 2, "band_margin": 0.2,
+                  "verify_struct_k": 0, "perturb_sigma": 0.2, "n_perturb": 3,
+                  "az_radii": [100.0]}},
+     ["planner.margin", "planner.verify_band_k", "planner.band_margin",
+      "planner.verify_struct_k", "planner.perturb_sigma", "planner.n_perturb",
+      "planner.az_radii"]),
+    ({"mobility": {"speed": {"kmhh": 20.0}}, "request": {"intervals": {"cnt": 2}}},
+     ["mobility.speed.kmhh", "request.intervals.cnt"]),
+])
+def test_a_key_that_is_no_setting_is_a_config_error(tmp_path, capsys, config, keys):
+    # a removed setting is named too, rather than left to its old default
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["grid", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for key in keys:
+        assert f"{key} is not a setting" in err
+
+
+def test_optional_settings_are_accepted(tmp_path):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(grid_to_json(build_manhattan(3, 3, 100.0)))
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t,node_id,x,y,speed\n")
+    cfg = load_config(str(write_config(tmp_path, {
+        "grid": {"kind": "file", "path": str(grid_path)},
+        "intervals": {"durations_s": [120.0, 60, 60.0]},
+        "request": {"intervals": {"durations_s": [120.0, 120.0]}}})))
+    assert cfg["intervals"]["durations_s"] == [120.0, 60, 60.0]
+    cfg = load_config(str(write_config(tmp_path, {
+        "mobility": {"speed": {"kind": "constant", "kmh": 25}}})))
+    assert cfg["mobility"]["speed"]["kmh"] == 25
+    cfg = load_config(str(write_config(tmp_path, {
+        "mobility": {"kind": "trace", "trace_path": str(trace_path)}})))
+    assert cfg["mobility"]["trace_path"] == str(trace_path)
+
+
+def test_dataclass_checks_are_reported_by_setting(tmp_path):
+    path = write_config(tmp_path, {"model": {"kernel": 2, "folds": 1},
+                                   "planner": {"verify_seeds": 0}})
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.violations == ["model.kernel must be odd", "model.folds must be >= 2",
+                                    "planner.verify_seeds must be >= 1"]
 
 
 @pytest.mark.parametrize("overrides, message", [

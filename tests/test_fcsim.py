@@ -158,24 +158,6 @@ def test_exact_seeding_drops_down():
     assert out.v[0, 1] == pytest.approx(1.0)   # carried availability before clamp
 
 
-def test_floor_seeding_never_drops():
-    grid = build_manhattan(2, 2, 100.0)
-    mid = np.array(grid.links[0].midpoint)
-    tracks = [(i, 0, mid + [float(i), 0.0]) for i in range(4)]
-    traj = make_traj(grid, tracks, horizon=4)
-    ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode="instantaneous")
-    L = grid.num_links
-    a = np.zeros((L, 2))
-    s = np.zeros((L, 2))
-    s[0, 0] = 1.0
-    s[0, 1] = 0.5
-    scheme = FcScheme(a, a.copy(), s)
-    out = run_fc(traj, [], scheme, ch, [2.0, 2.0], grid=grid, seed=1,
-                 seeding_mode="floor", record_holders=True, debug_ledger=True)
-    assert all(len(h) == 4 for h in out.holder_history)
-    assert out.dropped.sum() == 0
-
-
 def test_departure_drops_content(grid, instant_channel):
     mid = np.array(grid.links[0].midpoint)
     traj = make_traj(grid, [(0, 0, np.tile(mid, (3, 1)))], horizon=6)

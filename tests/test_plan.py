@@ -5,6 +5,7 @@ from floatsim import (ChannelModel, CostWeights, ServiceRequest, SimContext,
                       all_on, build_dataset, detect_contacts, gen_random_schemes,
                       is_feasible, mobility_features, raster_embed, scheme_cost,
                       simulate_manhattan, SpeedModel, KMH)
+from floatsim import plan
 from floatsim.learn import SurrogateHyper, train_surrogate
 from floatsim.plan import (PlannerOptions, ProblemInfeasibleError, ReplanRangeError,
                            bootstrap, circular_az_baseline, circular_scheme,
@@ -55,11 +56,14 @@ def test_bootstrap_never_beats_all_on_but_tries(planning):
     assert result.wall_clock_s > 0
 
 
-def test_bootstrap_fallback_when_margin_blocks_everything(planning):
-    # probation and structured slots off: the margin filter alone decides
+def test_bootstrap_fallback_when_margin_blocks_everything(planning, monkeypatch):
+    # no structured slots, and the probation band's floor at the margin bar,
+    # so the band is empty: the margin filter alone decides
     model, verifier, forecast, req, w = planning
-    opts = PlannerOptions(n_candidates=6, margin=50.0, verify_top_k=3,
-                          verify_seeds=2, verify_band_k=0, verify_struct_k=0)
+    monkeypatch.setattr(plan, "MARGIN", 50.0)
+    monkeypatch.setattr(plan, "BAND_MARGIN", -50.0)
+    monkeypatch.setattr(plan, "VERIFY_STRUCT_K", 0)
+    opts = PlannerOptions(n_candidates=6, verify_top_k=3, verify_seeds=2)
     result = bootstrap(model, forecast, req, w, opts, verifier, seed=4)
     assert result.fallback
     assert np.all(result.scheme.a == 1.0)

@@ -2,8 +2,8 @@
 properties checked through batches of runs.
 
 `engine_oracle.oracle_run` is the earlier `SimContext.run`; every outcome of
-`SimContext.run_many` must equal it bit for bit, in both channel modes and
-both seeding modes, for any mix of schemes and seeds in the batch.
+`SimContext.run_many` must equal it bit for bit, in both channel modes, for
+any mix of schemes and seeds in the batch.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def assert_same_outcome(got, want):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def contexts(draw, grid, mode=None, seeding=None):
+def contexts(draw, grid, mode=None):
     horizon = draw(st.integers(2, 14))
     tracks = []
     for node in range(draw(st.integers(0, 8))):
@@ -67,9 +67,7 @@ def contexts(draw, grid, mode=None, seeding=None):
     mode = mode or draw(st.sampled_from(["instantaneous", "capacity"]))
     channel = ChannelModel(1.0e6, 5.0, 3.0, RADIUS, mode=mode,
                            content_bits=EDGE_BITS * draw(st.floats(0.3, 4.0)))
-    seeding = seeding or draw(st.sampled_from(["exact", "floor"]))
-    return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t,
-                      seeding_mode=seeding)
+    return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t)
 
 
 @st.composite
@@ -95,8 +93,7 @@ def crowded_contexts(draw, grid):
     # one tick carries 2.6e6 bits at 42.5 m and 9.97e6 bits at 7 m or less
     channel = ChannelModel(1.0e6, 5.0, 3.0, RADIUS, mode="capacity",
                            content_bits=draw(st.floats(3.0e6, 9.0e6)))
-    return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t,
-                      seeding_mode=draw(st.sampled_from(["exact", "floor"])))
+    return SimContext(grid, traj, detect_contacts(traj, RADIUS), channel, d_t)
 
 
 def _plane(draw, L, T):
@@ -339,8 +336,7 @@ def test_ledger_balances_and_holders_are_present(grid, data):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_monotone_coupling_on_random_schemes(grid, data):
-    # the clamp keeps holder sets ordered in exact seeding mode only
-    ctx = data.draw(contexts(grid, "instantaneous", "exact"))
+    ctx = data.draw(contexts(grid, "instantaneous"))
     L, T = ctx.L, ctx.T
     low = [_plane(data.draw, L, T) for _ in range(3)]
     lift = [_plane(data.draw, L, T) for _ in range(3)]
