@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -105,6 +106,15 @@ def _is_a(value, kinds: tuple[type, ...]) -> bool:
         isinstance(value, kinds) or (float in kinds and isinstance(value, int)))
 
 
+def _finite(value) -> bool:
+    """False for NaN, an infinity (JSON's NaN and Infinity parse to floats)
+    or an int past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _at_least(low):
     return lambda v: v >= low, f">= {low}"
 
@@ -128,8 +138,8 @@ LIMITS = {
     "mobility.speed.low_kmh": _above(0), "mobility.speed.kmh": _above(0),
     "content_mb": _above(0), "tick_s": _above(0),
     "intervals.count": _at_least(1), "intervals.duration_s": _above(0),
-    "intervals.durations_s": (lambda v: len(v) > 0 and all(_is_a(d, (float,)) and d > 0
-                                                           for d in v),
+    "intervals.durations_s": (lambda v: len(v) > 0 and all(_is_a(d, (float,)) and _finite(d)
+                                                           and d > 0 for d in v),
                               "a non-empty list of positive numbers"),
     "cost.beta": _at_least(0), "cost.delta": _at_least(0), "cost.theta": _at_least(0),
     "dataset.num_schemes": _at_least(1), "dataset.style": _one_of("iid", "smoothed", "mixed"),
@@ -139,6 +149,8 @@ LIMITS = {
                     "'center' or a non-empty list of link ids"),
     "request.center_count": _at_least(1), "request.alpha0": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "evaluate.seeds": _at_least(1), "split.test_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    # the range of derive_seed, whose keys are 64-bit
+    "seed": (lambda v: -2 ** 63 <= v < 2 ** 64, "in [-2^63, 2^64)"),
 }
 LIMITS.update({"request." + key: LIMITS[key] for key in LIMITS if key.startswith("intervals.")})
 
@@ -187,6 +199,8 @@ def _setting_violations(node: dict, defaults: dict, prefix: str = ""):
                 yield "type", f"{name} must be an object"
         elif not _is_a(value, kinds):
             yield "type", f"{name} must be " + " or ".join(_KIND_NAMES[k] for k in kinds)
+        elif float in kinds and not _finite(value):
+            yield "type", f"{name} must be a finite number"
         elif name in LIMITS and not LIMITS[name][0](value):
             yield "limit", f"{name} must be {LIMITS[name][1]}"
 

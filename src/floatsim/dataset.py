@@ -67,17 +67,15 @@ class Normalizer:
         return cls(np.array(d["mean"], dtype=float), np.array(d["scale"], dtype=float))
 
 
-def fit_normalizer(pairs: list[TrainingPair], split=None) -> Normalizer:
-    """Z-score parameters per mobility channel over the given pair indices
-    (all pairs when split is None).  Constant channels get scale 1 so they
-    normalize to exactly zero."""
-    chosen = pairs if split is None else [pairs[i] for i in split]
-    if not chosen:
-        raise ValueError("cannot fit a normalizer on an empty split")
+def fit_normalizer(pairs: list[TrainingPair]) -> Normalizer:
+    """Z-score parameters per mobility channel over the given pairs.
+    Constant channels get scale 1 so they normalize to exactly zero."""
+    if not pairs:
+        raise ValueError("cannot fit a normalizer on no pairs")
     mean = np.zeros(4)
     scale = np.ones(4)
     # one flat channel at a time: a stacked mean sums in another order
-    for ci, channel in enumerate(zip(*((p.m.n, p.m.lam, p.m.tau, p.m.nu) for p in chosen))):
+    for ci, channel in enumerate(zip(*((p.m.n, p.m.lam, p.m.tau, p.m.nu) for p in pairs))):
         stacked = np.concatenate([v.ravel() for v in channel])
         mean[ci] = stacked.mean()
         sd = stacked.std()
@@ -121,6 +119,7 @@ _MAXLOG = 7.09782712893383996843E2       # log(2**1024): exp(-x^2) underflows pa
 
 # fields blurred, standardized and squashed together: bounds the temporaries
 _FIELD_BLOCK = 4096
+_BLUR_SIGMA = 1.5       # raster cells, the Gaussian blur of smoothed strategies
 
 
 def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
@@ -195,7 +194,7 @@ def gaussian_blur(fields: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _smoothed_planes(generators: list[np.random.Generator], embedding: RasterEmbedding,
-                     T: int, blur: float = 1.5) -> np.ndarray:
+                     T: int) -> np.ndarray:
     """(len(generators), 3, L, T) spatially coherent random planes in [0, 1],
     one strategy per generator: Gaussian noise on the raster, blurred,
     standardized and squashed through the normal CDF.
@@ -219,7 +218,7 @@ def _smoothed_planes(generators: list[np.random.Generator], embedding: RasterEmb
             for p in range(3):
                 gains[k, p] = float(generator.choice([1.0, 3.0, 8.0]))
                 fields[k, p] = generator.normal(size=(T, H, W))
-        fields = gaussian_blur(fields, blur)
+        fields = gaussian_blur(fields, _BLUR_SIGMA)
         flat = fields.reshape(-1, H * W)
         # one row per field, summed as field.mean() and field.std() sum it
         sd = flat.std(axis=1, keepdims=True)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .mobility import (ContactEvent, ContactTable, TrajectorySet, interval_of_tick,
-                       interval_ticks)
+from .mobility import ContactTable, TrajectorySet, interval_of_tick, interval_ticks
 from .roadnet import RoadGrid
 from .scheme import FcScheme, check_settings, safe_ratio, zoi_alpha
 
@@ -67,9 +66,19 @@ class ChannelModel:
             (0 < self.radius_m < math.inf,
              f"radius_m must be positive and finite, not {self.radius_m}"),
             (self.mode in ("capacity", "instantaneous"), f"mode {self.mode!r} unknown")])
-        self.edge_sinr = 10.0 ** (self.edge_sinr_db / 10.0)
-        self.sinr_cap = 10.0 ** (self.sinr_cap_db / 10.0)
-        check_settings([(self.edge_sinr > 0, "edge_sinr_db must give a positive SINR")])
+        self.edge_sinr = _linear(self.edge_sinr_db)
+        self.sinr_cap = _linear(self.sinr_cap_db)
+        check_settings([
+            (0 < self.edge_sinr < math.inf, "edge_sinr_db must give a positive finite SINR"),
+            (self.sinr_cap < math.inf, "sinr_cap_db must give a finite SINR")])
+
+
+def _linear(db: float) -> float:
+    """10^(db / 10), or inf past the float range (above about 3,082 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def capacity(ch: ChannelModel, d: float) -> float:
@@ -155,10 +164,10 @@ class SimContext:
     scheme runs share.  Immutable once built; run() has no side effects."""
 
     def __init__(self, grid: RoadGrid, traj: TrajectorySet,
-                 contacts: ContactTable | list[ContactEvent], channel: ChannelModel, d_t):
+                 contacts: ContactTable, channel: ChannelModel, d_t):
         self.grid = grid
         self.traj = traj
-        self.contacts = contacts = ContactTable.of(contacts)
+        self.contacts = contacts
         self.channel = channel
         self.d_t = np.asarray(d_t, dtype=float)
         self.tick = traj.tick
@@ -229,9 +238,6 @@ class SimContext:
         self.ct_bounds = np.concatenate([[0], np.cumsum(open_now[:-1])])
 
     # -- vectorized random access ---------------------------------------------
-    def links_at(self, tracks: np.ndarray, k: int) -> np.ndarray:
-        return self.sample_link[self.sample_base[tracks] + k]
-
     def present_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.pt_bounds[k], self.pt_bounds[k + 1]
         return self.pt_track[lo:hi], self.pt_link[lo:hi]
@@ -786,7 +792,7 @@ class _Transfers:
                             for f in ("run", "snd", "rcv", "ev", "bits")))
 
 
-def run_fc(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent], scheme: FcScheme,
+def run_fc(traj: TrajectorySet, contacts: ContactTable, scheme: FcScheme,
            channel: ChannelModel, d_t, *, grid: RoadGrid, zoi=None, seed: int = 0,
            record_holders: bool = False, v_first=None, debug_ledger: bool = False) -> SimOutcome:
     """One-shot convenience wrapper around SimContext for single runs."""

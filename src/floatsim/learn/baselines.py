@@ -82,18 +82,14 @@ def _split_point(lo: float, hi: float) -> float:
 class DecisionTreeClassifier:
     """CART-style classifier with Gini impurity splits."""
 
-    def __init__(self, max_depth: int | None = None, min_leaf: int = 1):
+    def __init__(self, max_depth: int | None = None):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self._root: _TreeNode | None = None
 
-    def fit(self, x: np.ndarray, y: np.ndarray,
-            feature_subset: np.ndarray | None = None) -> "DecisionTreeClassifier":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=np.int64)
         self._classes = int(y.max()) + 1 if len(y) else 1
-        self._features = (np.arange(x.shape[1]) if feature_subset is None
-                          else np.asarray(feature_subset, dtype=np.int64))
         self._root = self._build(x, y, 0)
         return self
 
@@ -102,7 +98,7 @@ class DecisionTreeClassifier:
         best = (np.inf, None, None)
         onehot = np.zeros((n, self._classes))
         onehot[np.arange(n), y] = 1.0
-        for f in self._features:
+        for f in range(x.shape[1]):
             order = np.argsort(x[:, f], kind="stable")
             xs = x[order, f]
             cum = np.cumsum(onehot[order], axis=0)
@@ -121,7 +117,7 @@ class DecisionTreeClassifier:
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
         if (self.max_depth is not None and depth >= self.max_depth) \
-                or len(np.unique(y)) <= 1 or len(y) < 2 * self.min_leaf:
+                or len(np.unique(y)) <= 1 or len(y) < 2:
             return _TreeNode(label=_majority(y))
         feature, threshold = self._best_split(x, y)
         if feature is None:
@@ -143,17 +139,14 @@ class DecisionTreeClassifier:
 
 
 class RandomForestClassifier:
-    """Bagged Gini trees with optional per-tree feature subsampling."""
+    """Gini trees, each fit on its own bootstrap sample of the rows, over
+    every feature."""
 
-    def __init__(self, n_trees: int = 10, max_depth: int | None = None,
-                 bootstrap: bool = True, feature_frac: float | None = None,
-                 seed: int = 0):
+    def __init__(self, n_trees: int = 10, max_depth: int | None = None, seed: int = 0):
         if n_trees < 1:
             raise BaselineParameterError("n_trees must be >= 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.bootstrap = bootstrap
-        self.feature_frac = feature_frac
         self.seed = seed
         self.trees: list[DecisionTreeClassifier] = []
 
@@ -161,17 +154,11 @@ class RandomForestClassifier:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=np.int64)
         self.trees = []
-        n, f = x.shape
+        n = len(x)
         for t in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, 401, t))
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            subset = None
-            if self.feature_frac is not None:
-                k = max(1, int(round(self.feature_frac * f)))
-                subset = np.sort(rng.choice(f, size=k, replace=False))
-            tree = DecisionTreeClassifier(self.max_depth)
-            tree.fit(x[idx], y[idx], feature_subset=subset)
-            self.trees.append(tree)
+            idx = rng.integers(0, n, size=n)
+            self.trees.append(DecisionTreeClassifier(self.max_depth).fit(x[idx], y[idx]))
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

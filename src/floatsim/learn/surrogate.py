@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..dataset import CommFeatures, Normalizer, TrainingPair, fit_normalizer, li
 from ..mobility import MobilityFeatures
 from ..roadnet import RasterEmbedding
 from ..rng import derive_seed
-from ..scheme import FcScheme, check_settings
+from ..scheme import FcScheme, check_settings, safe_ratio
 from .layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Softplus
 
 INPUT_CHANNELS = 7    # the dataset.link_inputs stack
@@ -161,8 +161,7 @@ def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
     xs, ys = [], []
     for p in pairs:
         xs.append(input_rasters(embedding, normalizer, p.m, p.scheme))
-        denom = np.maximum(p.m.n, 1e-12)
-        ratio = np.where(p.m.n > 0, np.stack([p.c.n_c, p.c.gamma.sum(axis=2)]) / denom, 0.0)
+        ratio = safe_ratio(np.stack([p.c.n_c, p.c.gamma.sum(axis=2)]), p.m.n, 0.0)
         ys.append(embedding.rasterize(ratio.transpose(2, 0, 1)).transpose(0, 2, 3, 1))
     return np.concatenate(xs), np.concatenate(ys)
 
@@ -173,7 +172,6 @@ class TrainResult:
     fold_losses: list[tuple[float, float]]      # (train MSE, val MSE) per fold
     initial_val_loss: float
     final_val_loss: float
-    history: list[float] = field(default_factory=list)
 
 
 def masked_mse(model: SurrogateModel, pred: np.ndarray, y: np.ndarray) -> float:
@@ -185,8 +183,8 @@ def masked_mse(model: SurrogateModel, pred: np.ndarray, y: np.ndarray) -> float:
 
 def _sgd_epochs(model: SurrogateModel, x: np.ndarray, y: np.ndarray,
                 val_x: np.ndarray, val_y: np.ndarray, hyper: SurrogateHyper,
-                stream: int) -> tuple[float, float, list[float]]:
-    """Train in place; returns (initial val MSE, best val MSE, epoch history)."""
+                stream: int) -> tuple[float, float]:
+    """Train in place; returns (initial val MSE, best val MSE)."""
     rng = np.random.default_rng(derive_seed(hyper.seed, 502, stream))
     velocity = [np.zeros_like(p) for p in model.parameters()]
     mask = model.cell_mask
@@ -199,7 +197,6 @@ def _sgd_epochs(model: SurrogateModel, x: np.ndarray, y: np.ndarray,
     best = initial
     best_params = model.flat_params()
     stall = 0
-    history = []
     step = 0
     for _ in range(hyper.epochs):
         order = rng.permutation(len(x))
@@ -218,7 +215,6 @@ def _sgd_epochs(model: SurrogateModel, x: np.ndarray, y: np.ndarray,
                 p -= hyper.learning_rate * vel
             step += 1
         cur = val_loss()
-        history.append(cur)
         if cur < best - 1e-12:
             best = cur
             best_params = model.flat_params()
@@ -228,7 +224,7 @@ def _sgd_epochs(model: SurrogateModel, x: np.ndarray, y: np.ndarray,
             if stall >= hyper.patience:
                 break
     model.set_flat_params(best_params)
-    return initial, best, history
+    return initial, best
 
 
 def train_surrogate(pairs: list[TrainingPair], embedding: RasterEmbedding,
@@ -251,24 +247,16 @@ def train_surrogate(pairs: list[TrainingPair], embedding: RasterEmbedding,
     for f, val_idx in enumerate(chunks):
         train_idx = np.concatenate([c for g, c in enumerate(chunks) if g != f])
         model = SurrogateModel(embedding, normalizer, hyper)
-        _, val_best, _ = _sgd_epochs(model, x[train_idx], y[train_idx],
-                                     x[val_idx], y[val_idx], hyper, stream=f + 1)
+        _, val_best = _sgd_epochs(model, x[train_idx], y[train_idx],
+                                  x[val_idx], y[val_idx], hyper, stream=f + 1)
         train_mse = masked_mse(model, model.forward(x[train_idx]), y[train_idx])
         fold_losses.append((train_mse, val_best))
 
     final = SurrogateModel(embedding, normalizer, hyper)
     monitor = chunks[0]
-    initial, final_val, history = _sgd_epochs(final, x, y, x[monitor], y[monitor],
-                                              hyper, stream=0)
+    initial, final_val = _sgd_epochs(final, x, y, x[monitor], y[monitor], hyper, stream=0)
     return TrainResult(model=final, fold_losses=fold_losses,
-                       initial_val_loss=initial, final_val_loss=final_val,
-                       history=history)
-
-
-def mean_baseline_mse(train_y: np.ndarray, test_y: np.ndarray) -> float:
-    """Held-out MSE of always predicting the per-channel training mean."""
-    mean = train_y.mean(axis=tuple(range(train_y.ndim - 1)))
-    return float(np.mean((test_y - mean) ** 2))
+                       initial_val_loss=initial, final_val_loss=final_val)
 
 
 # ---------------------------------------------------------------------------

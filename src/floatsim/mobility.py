@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .rng import derive_seed
-from .roadnet import DEFAULT_SNAP_M, RoadGrid, link_of_many
+from .roadnet import RoadGrid, link_of_many
 
 KMH = 1.0 / 3.6  # km/h expressed in m/s
 
@@ -84,13 +83,14 @@ class TrajectorySet:
                            dtype=np.int64))
 
     @classmethod
-    def from_columns(cls, tick: float, horizon: int, node, enter, lens, pos, speed, link,
-                     dropped_samples: int = 0) -> "TrajectorySet":
+    def from_columns(cls, tick: float, horizon: int, node, enter, lens, pos, speed,
+                     link) -> "TrajectorySet":
         """The set whose track k is node[k], entering at tick enter[k] with
         lens[k] samples, the tracks' samples concatenated in the columns pos
-        (S, 2), speed and link; the columns are kept, not copied."""
+        (S, 2), speed and link; the columns are kept, not copied.  No sample
+        was dropped."""
         traj = cls.__new__(cls)
-        traj._set_columns(tick, horizon, dropped_samples, node, enter, lens, pos, speed, link)
+        traj._set_columns(tick, horizon, 0, node, enter, lens, pos, speed, link)
         return traj
 
     def _set_columns(self, tick, horizon, dropped_samples, node, enter, lens, pos, speed, link):
@@ -147,15 +147,15 @@ class ContactEvent:
         return self.end - self.start + 1
 
 
-class ContactTable(Sequence):
+class ContactTable:
     """Contact episodes as columns, sorted by (start, i, j).
 
     Row e is the episode of track pair (i[e], j[e]), i < j, over ticks
     start[e]..end[e].  Every column has a row per event; nothing is stored
     per contact-tick, since `TrajectorySet.distance` recomputes a pair's
-    distance at any tick from the positions.  Indexing and iteration give
-    ContactEvent row views, and a table equals any table or list holding the
-    same events, so it stands in for a list of events.
+    distance at any tick from the positions.  Indexing by an int and
+    iteration give ContactEvent row views; two tables are equal when their
+    columns are.
     """
 
     def __init__(self, i, j, start, end):
@@ -172,14 +172,6 @@ class ContactTable(Sequence):
     def empty(cls) -> "ContactTable":
         none = np.zeros(0, dtype=np.int64)
         return cls(none, none, none, none)
-
-    @classmethod
-    def of(cls, contacts) -> "ContactTable":
-        """The table itself, or the table of a sequence of ContactEvents."""
-        if isinstance(contacts, ContactTable):
-            return contacts
-        return cls([e.i for e in contacts], [e.j for e in contacts],
-                   [e.start for e in contacts], [e.end for e in contacts])
 
     @property
     def num_ticks(self) -> np.ndarray:
@@ -203,12 +195,10 @@ class ContactTable(Sequence):
             yield ContactEvent(*row)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ContactTable):
-            return all(np.array_equal(getattr(self, c), getattr(other, c))
-                       for c in ("i", "j", "start", "end"))
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, ContactTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in ("i", "j", "start", "end"))
 
     def __repr__(self) -> str:
         return f"ContactTable({len(self)} events, {int(self.num_ticks.sum())} contact-ticks)"
@@ -288,8 +278,11 @@ def _route_table(grid: RoadGrid) -> tuple[dict, list[int]]:
     return hops, inner
 
 
+_MAX_HOPS = 10_000      # a route ends at a border exit or after this many hops
+
+
 def _walk_route(grid: RoadGrid, stub_id: int, rng: np.random.Generator,
-                max_hops: int = 10_000, table=None) -> tuple[np.ndarray, np.ndarray]:
+                table=None) -> tuple[np.ndarray, np.ndarray]:
     """Random walk from a border stub to any border exit.
 
     Returns the route as polyline vertices (k, 2) plus the link id of each
@@ -304,7 +297,7 @@ def _walk_route(grid: RoadGrid, stub_id: int, rng: np.random.Generator,
     points = [(stub.p1, stub.p2)[1 - e], (stub.p1, stub.p2)[e]]
     seg_links = [stub_id]
     cur = stub_id
-    for _ in range(max_hops):
+    for _ in range(_MAX_HOPS):
         step = hops.get((cur, e))
         if step is None:
             break  # reached a border point: exit
@@ -387,14 +380,13 @@ def simulate_manhattan(grid: RoadGrid, arrival_rate: float, speed_model: SpeedMo
 # trace ingestion
 # ---------------------------------------------------------------------------
 
-def load_traces(path, grid: RoadGrid, tick: float = 1.0,
-                eps_snap: float = DEFAULT_SNAP_M) -> TrajectorySet:
+def load_traces(path, grid: RoadGrid, tick: float = 1.0) -> TrajectorySet:
     """Load a `t,node_id,x,y[,speed]` CSV, resample every node to the tick
     grid by linear interpolation and snap samples to links.
 
-    Samples farther than eps_snap from every link are dropped (counted in
-    `dropped_samples`); a dropped sample splits the node's presence into
-    separate episodes.
+    Samples farther than `roadnet.DEFAULT_SNAP_M` from every link are
+    dropped (counted in `dropped_samples`); a dropped sample splits the
+    node's presence into separate episodes.
     """
     by_node: dict[int, list[tuple[float, float, float, float]]] = {}
     with open(path, newline="") as fh:
@@ -451,7 +443,7 @@ def load_traces(path, grid: RoadGrid, tick: float = 1.0,
         else:
             v = np.interp(tgrid, ts[~np.isnan(sp)], sp[~np.isnan(sp)])
         pos = np.stack([x, y], axis=1)
-        links = link_of_many(grid, pos, eps_snap)
+        links = link_of_many(grid, pos)
         on = links >= 0
         dropped += int((~on).sum())
         # split into contiguous on-grid episodes
@@ -602,7 +594,7 @@ def _contact_degree(traj: TrajectorySet, contacts: ContactTable) -> np.ndarray:
     return np.cumsum(step)[:-1]
 
 
-def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[ContactEvent],
+def mobility_features(traj: TrajectorySet, contacts: ContactTable,
                       grid: RoadGrid, d_t) -> MobilityFeatures:
     """Table-1 style aggregates per (link, interval).
 
@@ -610,7 +602,6 @@ def mobility_features(traj: TrajectorySet, contacts: ContactTable | list[Contact
     concurrent contacts over node samples; tau: mean duration of contacts
     attributed to the link where each endpoint sits at contact start.
     """
-    contacts = ContactTable.of(contacts)
     L = grid.num_links
     ivl = interval_of_tick(d_t, traj.tick, traj.horizon)
     T = int(ivl.max()) + 1 if ivl.size else 0

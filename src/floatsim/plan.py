@@ -141,6 +141,8 @@ def circular_scheme(grid, zoi, radius: float, T: int, s_first: float = 1.0,
 
 
 def default_radii(grid) -> tuple[float, ...]:
+    """Anchor-zone radii, ascending: 7 from the median link length to half
+    the grid's diagonal, then the whole diagonal."""
     lengths = np.array([ln.length for ln in grid.links])
     xmin, ymin, xmax, ymax = grid.bbox
     diag = float(np.hypot(xmax - xmin, ymax - ymin))
@@ -248,13 +250,12 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
 
 
 def bootstrap(model, forecast: MobilityFeatures, req: ServiceRequest, w: CostWeights,
-              opts: PlannerOptions, verifier: SimContext, seed: int = 0,
-              incumbent: FcScheme | None = None) -> PlanResult:
+              opts: PlannerOptions, verifier: SimContext, seed: int = 0) -> PlanResult:
     """Plan the whole floating period from forecast mobility features."""
     if forecast.shape != (verifier.L, len(w.d_t)):
         raise ValueError(f"forecast shape {forecast.shape} does not match "
                          f"verifier ({verifier.L} links) and {len(w.d_t)} intervals")
-    return _plan(model, forecast, req, w, opts, verifier, seed, incumbent, v_first=None)
+    return _plan(model, forecast, req, w, opts, verifier, seed, incumbent=None, v_first=None)
 
 
 def replan(model, outcome_so_far: SimOutcome, forecast_rest: MobilityFeatures,
@@ -287,22 +288,21 @@ class AnchorZoneResult:
 
 
 def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeights,
-                         radii=None, seed: int = 0, run_seeds=None) -> AnchorZoneResult:
+                         seed: int = 0, run_seeds=None) -> AnchorZoneResult:
     """Classic anchor-zone dimensioning: grow a circle around the ZOI centroid
     until the simulated outcome is feasible; inside, replication, caching and
     per-interval seeding all run at full strength.
 
-    Each radius, smallest first, is one `verify` batch on the planner's
-    verification seeds, so baseline comparisons are free of common-noise
-    artifacts; the sweep stops at the first feasible radius, or returns the
-    largest.  `run_seeds`, when given, are the simulation seeds themselves,
+    Each of `default_radii`, smallest first, is one `verify` batch on the
+    planner's verification seeds, so baseline comparisons are free of
+    common-noise artifacts; the sweep stops at the first feasible radius, or
+    returns the largest.  `run_seeds`, when given, are the simulation seeds themselves,
     in place of the planner's default number of them derived from `seed`.
     """
-    radii = sorted(radii or default_radii(verifier.grid))
     if run_seeds is None:
         run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(PlannerOptions.verify_seeds)]
     run_seeds = list(run_seeds)
-    for radius in radii:
+    for radius in default_radii(verifier.grid):
         scheme = circular_scheme(verifier.grid, req.zoi, radius, len(w.d_t))
         v, = verify(verifier, [scheme], req, w, run_seeds)
         if v.feasible:

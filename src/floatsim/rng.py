@@ -69,15 +69,6 @@ def keyed_u01_at(prefix, id_a, id_b, tick) -> np.ndarray:
     return u01(chain(chain(chain(prefix, id_a), id_b), tick))
 
 
-def keyed_u01(seed: int, kind: int, id_a, id_b, tick) -> np.ndarray:
-    """Uniform [0, 1) draws keyed by (seed, kind, id_a, id_b, tick).
-
-    All id/tick arguments broadcast; the result has the broadcast shape
-    (a 0-d array for all-scalar input, so use float() if a scalar is wanted).
-    """
-    return keyed_u01_at(key_prefix(seed, kind), id_a, id_b, tick)
-
-
 def derive_seed(seed: int, *fields: int) -> int:
     """Deterministic child seed for spawning numpy Generators."""
     with np.errstate(over="ignore"):

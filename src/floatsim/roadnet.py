@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SNAP_M = 2.0
+_SNAP_CHUNK = 4096         # points per distance block of link_of_many
 
 
 class DegenerateGridError(ValueError):
@@ -143,30 +144,32 @@ def build_manhattan(rows: int, cols: int, block_side: float) -> RoadGrid:
     return RoadGrid(links, inter, adjacency, (0.0, 0.0, cols * s, rows * s))
 
 
-def link_of(grid: RoadGrid, position, eps_snap: float = DEFAULT_SNAP_M) -> int:
-    """Id of the nearest link within eps_snap; ties go to the smallest id."""
+def link_of(grid: RoadGrid, position) -> int:
+    """Id of the nearest link within DEFAULT_SNAP_M; ties go to the smallest id."""
     x, y = float(position[0]), float(position[1])
     xmin, ymin, xmax, ymax = grid.bbox
-    if not (xmin - eps_snap <= x <= xmax + eps_snap and ymin - eps_snap <= y <= ymax + eps_snap):
+    eps = DEFAULT_SNAP_M
+    if not (xmin - eps <= x <= xmax + eps and ymin - eps <= y <= ymax + eps):
         raise OffGridError(f"position ({x}, {y}) outside grid bounding box")
     dists = grid.distances_to_links(np.array([[x, y]]))[0]
     best = int(np.argmin(dists))  # argmin returns the first (= smallest id) on ties
-    if dists[best] > eps_snap:
+    if dists[best] > eps:
         raise OffGridError(
-            f"no link within {eps_snap} m of ({x}, {y}); nearest is {dists[best]:.2f} m away")
+            f"no link within {eps} m of ({x}, {y}); nearest is {dists[best]:.2f} m away")
     return best
 
 
-def link_of_many(grid: RoadGrid, points: np.ndarray, eps_snap: float = DEFAULT_SNAP_M,
-                 chunk: int = 4096) -> np.ndarray:
-    """Vectorized link_of; off-grid points yield -1 instead of raising."""
+def link_of_many(grid: RoadGrid, points: np.ndarray,
+                 eps_snap: float = DEFAULT_SNAP_M) -> np.ndarray:
+    """Vectorized link_of within eps_snap; off-grid points yield -1 instead
+    of raising.  Distances are computed _SNAP_CHUNK points at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), -1, dtype=np.int64)
-    for lo in range(0, len(pts), chunk):
-        d = grid.distances_to_links(pts[lo:lo + chunk])
+    for lo in range(0, len(pts), _SNAP_CHUNK):
+        d = grid.distances_to_links(pts[lo:lo + _SNAP_CHUNK])
         best = np.argmin(d, axis=1)
         ok = d[np.arange(len(best)), best] <= eps_snap
-        out[lo:lo + chunk][ok] = best[ok]
+        out[lo:lo + _SNAP_CHUNK][ok] = best[ok]
     return out
 
 
@@ -184,9 +187,6 @@ class RasterEmbedding:
     @property
     def num_links(self) -> int:
         return len(self.rows)
-
-    def cell_of(self, link_id: int) -> tuple[int, int]:
-        return int(self.rows[link_id]), int(self.cols[link_id])
 
     def rasterize(self, values: np.ndarray) -> np.ndarray:
         """Per-link values (..., L) -> planes (..., H, W); a cell with several

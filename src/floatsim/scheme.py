@@ -58,11 +58,6 @@ class FcScheme:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def dominates(self, other: "FcScheme") -> bool:
-        """Componentwise >= in all of (a, b, s)."""
-        return bool(np.all(self.a >= other.a) and np.all(self.b >= other.b)
-                    and np.all(self.s >= other.s))
-
     def tail(self, t0: int) -> "FcScheme":
         """Sub-scheme for intervals t0..T (1-based t0)."""
         return FcScheme(self.a[:, t0 - 1:].copy(), self.b[:, t0 - 1:].copy(),

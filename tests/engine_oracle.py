@@ -109,7 +109,7 @@ def oracle_run(ctx, scheme, zoi=None, seed: int = 0, record_holders: bool = Fals
             gone_mask = holds & (ctx.exit == k - 1)
             if gone_mask.any():
                 gone = np.nonzero(gone_mask)[0]
-                np.add.at(dropped, (ctx.links_at(gone, k - 1), t), 1)
+                np.add.at(dropped, (ctx.sample_link[ctx.sample_base[gone] + k - 1], t), 1)
                 losses += len(gone)
                 holds[gone] = False
             for tid in [tid for tid, tr in transfers.items()
@@ -132,7 +132,8 @@ def oracle_run(ctx, scheme, zoi=None, seed: int = 0, record_holders: bool = Fals
             was_present = ctx.enter[tids] <= k - 1
             cand = tids[was_present]
             if len(cand):
-                moved = (ctx.links_at(cand, k - 1) != links[was_present]) & holds[cand]
+                before = ctx.sample_link[ctx.sample_base[cand] + k - 1]
+                moved = (before != links[was_present]) & holds[cand]
                 if moved.any():
                     movers = cand[moved]
                     mlinks = links[was_present][moved]
@@ -219,12 +220,12 @@ def _step_instant(ctx, events, holds, a, b, t, k, seed, gamma_col) -> int:
     sender = np.where(hi, i, j)
     receiver = np.where(hi, j, i)
     u1 = oracle_keyed_u01(seed, rng.KIND_SEND, i, j, k)
-    tx = u1 < a[ctx.links_at(sender, k), t]
+    tx = u1 < a[ctx.sample_link[ctx.sample_base[sender] + k], t]
     if not tx.any():
         return 0
-    np.add.at(gamma_col, ctx.links_at(np.unique(sender[tx]), k), 1.0)
+    np.add.at(gamma_col, ctx.sample_link[ctx.sample_base[np.unique(sender[tx])] + k], 1.0)
     u2 = oracle_keyed_u01(seed, rng.KIND_RECV_KEEP, i[tx], j[tx], k)
-    kept = u2 < b[ctx.links_at(receiver[tx], k), t]
+    kept = u2 < b[ctx.sample_link[ctx.sample_base[receiver[tx]] + k], t]
     new_holders = np.unique(receiver[tx][kept])
     gained = new_holders[~holds[new_holders]]
     holds[gained] = True
@@ -267,7 +268,7 @@ def _step_capacity(ctx, events, holds, busy, transfers, next_tid, a, b, t, k, se
             sender = np.where(hi, i, j)
             receiver = np.where(hi, j, i)
             u1 = oracle_keyed_u01(seed, rng.KIND_SEND, i, j, k)
-            ok = u1 < a[ctx.links_at(sender, k), t]
+            ok = u1 < a[ctx.sample_link[ctx.sample_base[sender] + k], t]
             if ok.any():
                 order = np.lexsort((receiver[ok], sender[ok]))
                 snd, rcv, evs = sender[ok][order], receiver[ok][order], ev[ok][order]

@@ -125,12 +125,19 @@ def _json_kind(value) -> str:
 # the leaves that take a second type besides their default's
 OTHER_KIND = {("grid", "path"): "str", ("mobility", "trace_path"): "str",
               ("request", "zoi"): "list"}
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _non_finite(value) -> bool:
+    return any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(list(_leaves(cli.DEFAULTS))),
-       value=st.one_of(st.text(max_size=8),
-                       st.lists(st.integers(-3, 3) | st.text(max_size=3), max_size=3),
+       value=st.one_of(st.text(max_size=8), NON_FINITE,
+                       st.lists(st.integers(-3, 3) | st.text(max_size=3) | NON_FINITE,
+                                max_size=3),
                        st.none(), st.booleans(),
                        st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)))
 def test_a_setting_of_another_type_is_a_config_error(tmp_path_factory, path, value):
@@ -147,6 +154,37 @@ def test_a_setting_of_another_type_is_a_config_error(tmp_path_factory, path, val
     if "float" in kinds:
         kinds.add("int")
     assert _json_kind(got) in kinds, f"{'.'.join(path)} = {got!r}"
+    assert not _non_finite(got), f"{'.'.join(path)} = {got!r}"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"mobility": {"duration_s": math.inf}}, "mobility.duration_s must be a finite number"),
+    ({"mobility": {"speed": {"high_kmh": math.inf}}},
+     "mobility.speed.high_kmh must be a finite number"),
+    ({"mobility": {"duration_s": 10 ** 400}}, "mobility.duration_s must be a finite number"),
+    ({"intervals": {"durations_s": [120.0, math.nan]}},
+     "intervals.durations_s must be a non-empty list of positive numbers"),
+    ({"seed": 10 ** 23}, "seed must be in [-2^63, 2^64)"),
+    ({"seed": 2 ** 64}, "seed must be in [-2^63, 2^64)"),
+    ({"seed": -2 ** 63 - 1}, "seed must be in [-2^63, 2^64)"),
+    ({"channel": {"edge_sinr_db": 1e5}}, "channel.edge_sinr_db must give a positive finite SINR"),
+    ({"channel": {"sinr_cap_db": 1e5}}, "channel.sinr_cap_db must give a finite SINR"),
+])
+def test_a_value_past_what_a_step_computes_with_is_a_config_error(tmp_path, config, message):
+    # values past what a step can compute with: the float range, or the seed range
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("seed", [-2 ** 63, -1, 0, 2 ** 63, 2 ** 64 - 1])
+def test_every_seed_derive_seed_takes_is_accepted(tmp_path, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": seed}))
+    assert load_config(str(path))["seed"] == seed
+    derive_seed(seed, 1)
 
 
 @pytest.mark.parametrize("config, message", [

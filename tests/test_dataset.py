@@ -115,8 +115,8 @@ def test_normalizer_roundtrip_and_constant_channel(small_pairs):
 
 def test_normalizer_matches_two_pass_oracle(small_pairs):
     pairs, _, _ = small_pairs
-    norm = fit_normalizer(pairs, split=[0, 2])
     chosen = [pairs[0], pairs[2]]
+    norm = fit_normalizer(chosen)
     stacked = np.concatenate([p.m.n.ravel() for p in chosen])
     mean = sum(stacked) / len(stacked)
     var = sum((x - mean) ** 2 for x in stacked) / len(stacked)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from floatsim import (ChannelModel, FcScheme, SimContext, all_on, all_zero, capacity,
-                      detect_contacts, run_fc, success_ratio)
+from floatsim import (ChannelModel, ContactTable, FcScheme, SimContext, all_on, all_zero,
+                      capacity, detect_contacts, run_fc, success_ratio)
 from floatsim.fcsim import ChannelRangeError, ShapeError, SimOutcome, UndefinedRatioError
 from floatsim.linktable import write_table
 from floatsim.roadnet import build_manhattan
@@ -130,7 +130,7 @@ def test_hand_trace_entry_drop():
     s = np.zeros((L, 1))
     s[0, 0] = 1.0
     scheme = FcScheme(np.ones((L, 1)), np.zeros((L, 1)), s)
-    out = run_fc(traj, [], scheme, ch, [4.0], grid=grid, seed=5,
+    out = run_fc(traj, ContactTable.empty(), scheme, ch, [4.0], grid=grid, seed=5,
                  record_holders=True, debug_ledger=True)
     assert out.holder_history[0] == frozenset({0})    # seeded on link 0
     assert out.holder_history[1] == frozenset()       # entered link 1, dropped
@@ -150,7 +150,7 @@ def test_exact_seeding_drops_down():
     s[0, 0] = 1.0    # all four seeded in interval 1
     s[0, 1] = 0.5    # clamped down to two at interval 2
     scheme = FcScheme(a, a.copy(), s)
-    out = run_fc(traj, [], scheme, ch, [2.0, 2.0], grid=grid, seed=1,
+    out = run_fc(traj, ContactTable.empty(), scheme, ch, [2.0, 2.0], grid=grid, seed=1,
                  record_holders=True, debug_ledger=True)
     assert len(out.holder_history[0]) == 4
     assert len(out.holder_history[2]) == 2
@@ -165,7 +165,7 @@ def test_departure_drops_content(grid, instant_channel):
     s = np.zeros((L, 1))
     s[0, 0] = 1.0
     scheme = FcScheme(np.zeros((L, 1)), np.zeros((L, 1)), s)
-    out = run_fc(traj, [], scheme, instant_channel, [6.0], grid=grid, seed=1,
+    out = run_fc(traj, ContactTable.empty(), scheme, instant_channel, [6.0], grid=grid, seed=1,
                  record_holders=True, debug_ledger=True)
     assert out.holder_history[2] == frozenset({0})
     assert out.holder_history[3] == frozenset()

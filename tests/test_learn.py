@@ -9,7 +9,7 @@ from floatsim import (ChannelModel, FcScheme, build_dataset, fit_normalizer,
 from floatsim.learn import (DecisionTreeClassifier, KNNClassifier,
                             RandomForestClassifier, SurrogateHyper, SurrogateModel,
                             check_layer, f_score, flatten_pair_rows,
-                            load_model, make_examples, mean_baseline_mse,
+                            load_model, make_examples,
                             rejection_probability, save_model, train_baseline,
                             train_surrogate)
 from floatsim.learn.baselines import BaselineParameterError
@@ -17,6 +17,7 @@ from floatsim.learn.gradcheck import check_model_loss
 from floatsim.learn.layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Softplus
 from floatsim.learn.surrogate import (TrainingDataError, TrainingDivergedError, input_rasters,
                                       masked_mse)
+from floatsim.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -265,9 +266,10 @@ def test_tree_splits_adjacent_floats():
 
 def test_forest_single_tree_matches_lone_tree():
     x, y = _toy_rows(120)
-    forest = RandomForestClassifier(n_trees=1, bootstrap=False,
-                                    feature_frac=None, max_depth=4, seed=5).fit(x, y)
-    tree = DecisionTreeClassifier(max_depth=4).fit(x, y)
+    forest = RandomForestClassifier(n_trees=1, max_depth=4, seed=5).fit(x, y)
+    # the forest's one tree is fit on its bootstrap rows
+    rows = np.random.default_rng(derive_seed(5, 401, 0)).integers(0, len(x), len(x))
+    tree = DecisionTreeClassifier(max_depth=4).fit(x[rows], y[rows])
     probe = np.random.default_rng(1).normal(size=(50, 5))
     assert np.array_equal(forest.predict(probe), tree.predict(probe))
 

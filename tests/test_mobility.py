@@ -304,7 +304,7 @@ def test_no_contact_beyond_range(grid):
     mid = np.array(grid.links[0].midpoint)
     traj = make_traj(grid, [(0, 0, mid - [75.0, 0.0]), (1, 0, mid + [75.0, 0.0])],
                      horizon=10)
-    assert detect_contacts(traj, 100.0) == []
+    assert detect_contacts(traj, 100.0) == ContactTable.empty()
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
@@ -343,8 +343,9 @@ def test_multi_tick_contact_events_compare_by_value():
     same = [ContactEvent(0, 1, 0, 1), ContactEvent(2, 3, 4, 6)]
     assert [a, b] == same
     assert [a, b] != [a, ContactEvent(2, 3, 4, 7)]
-    assert ContactTable.of([a, b]) == same
-    assert ContactTable.of([a, b]) != [b, a]
+    table = ContactTable([0, 2], [1, 3], [0, 4], [1, 6])
+    assert list(table) == same
+    assert table != ContactTable([0, 2], [1, 3], [0, 4], [1, 7])
 
 
 def test_contacts_symmetric_and_disjoint(desk_traj, desk_contacts):

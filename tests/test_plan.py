@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floatsim import (ChannelModel, CostWeights, ServiceRequest, SimContext,
+from floatsim import (ChannelModel, ContactTable, CostWeights, ServiceRequest, SimContext,
                       all_on, build_dataset, detect_contacts, gen_random_schemes,
                       is_feasible, mobility_features, raster_embed, scheme_cost,
                       simulate_manhattan, SpeedModel, KMH)
@@ -97,8 +97,8 @@ def test_bootstrap_rejects_empty_zoi_traffic(planning, grid):
     model, verifier, forecast, req, w = planning
     # a ZOI nobody ever visits makes even all-on undefined -> infeasible
     lonely = make_traj(grid, [(0, 0, np.array(grid.links[5].midpoint))], horizon=600)
-    ctx = SimContext(grid, lonely, [], verifier.channel, [300.0, 300.0])
-    m = mobility_features(lonely, [], grid, [300.0, 300.0])
+    ctx = SimContext(grid, lonely, ContactTable.empty(), verifier.channel, [300.0, 300.0])
+    m = mobility_features(lonely, ContactTable.empty(), grid, [300.0, 300.0])
     with pytest.raises(ProblemInfeasibleError):
         bootstrap(model, m, req, w, PlannerOptions(n_candidates=4, verify_seeds=1),
                   ctx, seed=1)
@@ -109,16 +109,16 @@ def test_bootstrap_infeasible_when_target_unreachable(planning, grid):
     # an isolated parked node in the ZOI that never meets anyone caps alpha < 1
     mid = np.array(grid.links[1].midpoint)
     lonely = make_traj(grid, [(0, 0, mid)], horizon=600)
-    ctx = SimContext(grid, lonely, [], verifier.channel, [300.0, 300.0])
-    m = mobility_features(lonely, [], grid, [300.0, 300.0])
+    ctx = SimContext(grid, lonely, ContactTable.empty(), verifier.channel, [300.0, 300.0])
+    m = mobility_features(lonely, ContactTable.empty(), grid, [300.0, 300.0])
     # ZOI includes links 1 (occupied, seedable) and 2 (never seeded, empty)...
     # target 1.0 with an all-zero s on the lonely link is unreachable only if
     # seeding misses it; with all-on it IS seeded, so use alpha0 = 1.0 and a
     # node that leaves mid-interval instead.
     walk = np.stack([np.linspace(150.0, 440.0, 30), np.full(30, 150.0)], axis=1)
     mover = make_traj(grid, [(0, 0, walk)], horizon=600)
-    ctx2 = SimContext(grid, mover, [], verifier.channel, [300.0, 300.0])
-    m2 = mobility_features(mover, [], grid, [300.0, 300.0])
+    ctx2 = SimContext(grid, mover, ContactTable.empty(), verifier.channel, [300.0, 300.0])
+    m2 = mobility_features(mover, ContactTable.empty(), grid, [300.0, 300.0])
     req2 = ServiceRequest(zoi=(0, 1, 2), alpha0=1.0, d_t=req.d_t)
     with pytest.raises(ProblemInfeasibleError):
         bootstrap(model, m2, req2, w, PlannerOptions(n_candidates=4, verify_seeds=1),
@@ -242,8 +242,8 @@ def test_circular_scheme_zero_radius_hits_centroid_link_only(grid):
 
 def test_circular_az_baseline_returns_smallest_feasible(planning):
     model, verifier, forecast, req, w = planning
-    radii = sorted(default_radii(verifier.grid))
-    result = circular_az_baseline(verifier, req, w, radii=radii, seed=2)
+    radii = default_radii(verifier.grid)
+    result = circular_az_baseline(verifier, req, w, seed=2)
     assert result.feasible
     assert result.radius in radii
     # every smaller radius in the sweep must have been infeasible
@@ -266,7 +266,7 @@ def test_full_infrastructure_baseline(planning, grid):
     # a parked, never-leaving ZOI population keeps alpha at 1 under FI
     mid = np.array(grid.links[req.zoi[0]].midpoint)
     parked = make_traj(grid, [(0, 0, mid), (1, 0, mid + [4.0, 0.0])], horizon=100)
-    ctx = SimContext(grid, parked, [], verifier.channel, [100.0])
+    ctx = SimContext(grid, parked, ContactTable.empty(), verifier.channel, [100.0])
     fi1 = full_infrastructure_baseline(req.zoi, grid.num_links, 1)
     o = ctx.run(fi1, zoi=req.zoi, seed=0)
     assert o.alpha[0] == pytest.approx(1.0)

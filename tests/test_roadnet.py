@@ -116,8 +116,7 @@ def test_raster_roundtrip_is_total(grid):
     recovered = emb.unrasterize(emb.rasterize(values))
     assert np.allclose(recovered, values)
     for lid in range(grid.num_links):
-        r, c = emb.cell_of(lid)
-        assert 0 <= r < 9 and 0 <= c < 7
+        assert 0 <= emb.rows[lid] < 9 and 0 <= emb.cols[lid] < 7
 
 
 def _rasterize_plane(emb, values):

@@ -184,9 +184,11 @@ def test_request_validation():
         ServiceRequest(zoi=(1,), alpha0=1.2, d_t=np.array([10.0]))
 
 
-def test_dominates_and_tail():
-    low = FcScheme(np.full((2, 3), 0.2), np.full((2, 3), 0.3), np.full((2, 3), 0.1))
-    high = FcScheme(np.full((2, 3), 0.9), np.full((2, 3), 0.9), np.full((2, 3), 0.9))
-    assert high.dominates(low) and not low.dominates(high)
-    tail = high.tail(2)
+def test_tail_keeps_the_later_intervals():
+    a = np.arange(6.0).reshape(2, 3) / 10
+    scheme = FcScheme(a, a / 2, a / 3)
+    tail = scheme.tail(2)
     assert tail.shape == (2, 2)
+    for got, full in ((tail.a, scheme.a), (tail.b, scheme.b), (tail.s, scheme.s)):
+        np.testing.assert_array_equal(got, full[:, 1:])
+        assert not np.shares_memory(got, full)
