@@ -33,8 +33,8 @@ from .linktable import TableError, read_table, write_table
 from .mobility import (EmptyTraceError, IntervalRangeError, SpeedModel, TraceParseError,
                        detect_contacts, interval_ticks, load_traces, mobility_features,
                        simulate_manhattan, KMH)
-from .plan import (PlannerOptions, ProblemInfeasibleError, bootstrap,
-                   circular_az_baseline, full_infrastructure_baseline, verify)
+from .plan import (PlannerOptions, ProblemInfeasibleError, anchor_zone_family, bootstrap,
+                   full_infrastructure_baseline, pick_anchor_zone, verify)
 from .rng import derive_seed
 from .roadnet import build_manhattan, grid_from_json, grid_to_json, raster_embed
 from .scheme import (CostWeights, FcScheme, SchemeValueError, ServiceRequest, SettingError,
@@ -136,7 +136,9 @@ LIMITS = {
     "mobility.duration_s": _above(0), "mobility.warmup_s": _at_least(0),
     "mobility.speed.kind": _one_of("constant", "uniform"),
     "mobility.speed.low_kmh": _above(0), "mobility.speed.kmh": _above(0),
-    "content_mb": _above(0), "tick_s": _above(0),
+    "content_mb": (lambda v: v > 0 and _finite(_content_bits(v)),
+                   "> 0 and small enough for a finite bit count"),
+    "tick_s": _above(0),
     "intervals.count": _at_least(1), "intervals.duration_s": _above(0),
     "intervals.durations_s": (lambda v: len(v) > 0 and all(_is_a(d, (float,)) and _finite(d)
                                                            and d > 0 for d in v),
@@ -252,8 +254,8 @@ def _durations(node: dict) -> list[float]:
     return [float(node["duration_s"])] * int(node["count"])
 
 
-def _content_bits(cfg: dict) -> float:
-    return cfg["content_mb"] * (2 ** 20) * 8.0
+def _content_bits(content_mb: float) -> float:
+    return content_mb * (2 ** 20) * 8.0
 
 
 def settings(cfg: dict, section: str, **program_set):
@@ -339,7 +341,7 @@ class Run:
 
     @cached_property
     def channel(self) -> ChannelModel:
-        return settings(self.cfg, "channel", content_bits=_content_bits(self.cfg))
+        return settings(self.cfg, "channel", content_bits=_content_bits(self.cfg["content_mb"]))
 
     @cached_property
     def request(self) -> ServiceRequest:
@@ -364,7 +366,8 @@ class Run:
     @cached_property
     def weights(self) -> CostWeights:
         c = self.cfg["cost"]
-        return CostWeights(d_t=self.request.d_t, content_bits=_content_bits(self.cfg),
+        return CostWeights(d_t=self.request.d_t,
+                           content_bits=_content_bits(self.cfg["content_mb"]),
                            beta=c["beta"], delta=c["delta"], theta=c["theta"])
 
     @cached_property
@@ -673,6 +676,11 @@ def _read_evaluation(run: Run) -> tuple[np.ndarray, dict]:
 
 
 def cmd_report(run: Run) -> None:
+    """Success-ratio box plots, strategy heat maps and `savings.csv`, the
+    plan's cost against the reference strategies.  All-on, full
+    infrastructure and every anchor-zone radius are checked in one `verify`
+    batch on the plan's first evaluate seeds; `pick_anchor_zone` reads the
+    anchor-zone row from it."""
     cfg, out, grid, req, scheme = run.cfg, run.out, run.grid, run.request, run.plan
     L, T = scheme.shape
     rows, verdict = _read_evaluation(run)
@@ -703,9 +711,11 @@ def cmd_report(run: Run) -> None:
     # on its first evaluate seeds
     n_paired = min(REPORT_SEEDS, len(verdict["cost_per_seed"]))
     seeds = [derive_seed(cfg["seed"], 8, i) for i in range(n_paired)]
-    allon, fi = verify(run.verifier, [all_on(L, T), full_infrastructure_baseline(req.zoi, L, T)],
-                       req, run.weights, seeds)
-    az = circular_az_baseline(run.verifier, req, run.weights, run_seeds=seeds)
+    family = anchor_zone_family(grid, req.zoi, T)
+    allon, fi, *az_checks = verify(
+        run.verifier, [all_on(L, T), full_infrastructure_baseline(req.zoi, L, T),
+                       *family.values()], req, run.weights, seeds)
+    az = pick_anchor_zone(family, az_checks)
     plan_cost = float(np.mean(verdict["cost_per_seed"][:n_paired]))
     plan_ok = all(verdict["feasible_per_seed"][:n_paired])
     with open(report / "savings.csv", "w") as fh:

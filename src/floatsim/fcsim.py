@@ -65,6 +65,8 @@ class ChannelModel:
             (self.path_loss_exp >= 2, "path_loss_exp must be >= 2"),
             (0 < self.radius_m < math.inf,
              f"radius_m must be positive and finite, not {self.radius_m}"),
+            (self.content_bits is None or 0 < self.content_bits < math.inf,
+             f"content_bits must be positive and finite, not {self.content_bits}"),
             (self.mode in ("capacity", "instantaneous"), f"mode {self.mode!r} unknown")])
         self.edge_sinr = _linear(self.edge_sinr_db)
         self.sinr_cap = _linear(self.sinr_cap_db)

@@ -288,26 +288,33 @@ class AnchorZoneResult:
 
 
 def circular_az_baseline(verifier: SimContext, req: ServiceRequest, w: CostWeights,
-                         seed: int = 0, run_seeds=None) -> AnchorZoneResult:
-    """Classic anchor-zone dimensioning: grow a circle around the ZOI centroid
-    until the simulated outcome is feasible; inside, replication, caching and
-    per-interval seeding all run at full strength.
+                         seed: int = 0) -> AnchorZoneResult:
+    """Classic anchor-zone dimensioning: the smallest circle around the ZOI
+    centroid whose simulated outcome is feasible, or the largest radius if
+    none is; inside, replication, caching and per-interval seeding all run
+    at full strength.
 
-    Each of `default_radii`, smallest first, is one `verify` batch on the
+    Every radius of `default_radii` is checked in one `verify` batch on the
     planner's verification seeds, so baseline comparisons are free of
-    common-noise artifacts; the sweep stops at the first feasible radius, or
-    returns the largest.  `run_seeds`, when given, are the simulation seeds themselves,
-    in place of the planner's default number of them derived from `seed`.
+    common-noise artifacts, and `pick_anchor_zone` reads the answer from it.
     """
-    if run_seeds is None:
-        run_seeds = [derive_seed(seed, 701, v_i) for v_i in range(PlannerOptions.verify_seeds)]
-    run_seeds = list(run_seeds)
-    for radius in default_radii(verifier.grid):
-        scheme = circular_scheme(verifier.grid, req.zoi, radius, len(w.d_t))
-        v, = verify(verifier, [scheme], req, w, run_seeds)
-        if v.feasible:
-            break
-    return AnchorZoneResult(scheme, float(radius), v.feasible, v.cost)
+    seeds = [derive_seed(seed, 701, v_i) for v_i in range(PlannerOptions.verify_seeds)]
+    family = anchor_zone_family(verifier.grid, req.zoi, len(w.d_t))
+    return pick_anchor_zone(family, verify(verifier, family.values(), req, w, seeds))
+
+
+def anchor_zone_family(grid, zoi, T: int) -> dict[float, FcScheme]:
+    """The classic anchor-zone strategy at each of `default_radii`, smallest first."""
+    return {radius: circular_scheme(grid, zoi, radius, T) for radius in default_radii(grid)}
+
+
+def pick_anchor_zone(family: dict[float, FcScheme],
+                     checks: list[Verification]) -> AnchorZoneResult:
+    """What a sweep of the family's `verify` checks, smallest radius first,
+    stops at: the first radius feasible on every seed, else the largest."""
+    pick = next((k for k, v in enumerate(checks) if v.feasible), len(checks) - 1)
+    radius, scheme = list(family.items())[pick]
+    return AnchorZoneResult(scheme, radius, checks[pick].feasible, checks[pick].cost)
 
 
 def full_infrastructure_baseline(zoi, L: int, T: int) -> FcScheme:

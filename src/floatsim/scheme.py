@@ -102,8 +102,8 @@ class CostWeights:
             raise SchemeValueError("theta must be non-negative")
         if self.d_t.sum() <= 0:
             raise SchemeValueError("total floating period must be positive")
-        if self.content_bits <= 0:
-            raise SchemeValueError("content size must be positive")
+        if not 0 < self.content_bits < np.inf:
+            raise SchemeValueError("content size must be positive and finite")
 
 
 @dataclass

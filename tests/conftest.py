@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as CI and perfbench/run.py set, before NumPy loads: the
+# threaded pools give the same bits and cost wall time at these matrix sizes
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

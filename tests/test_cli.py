@@ -21,7 +21,7 @@ from floatsim.linktable import write_table
 from floatsim.plan import circular_scheme, default_radii, full_infrastructure_baseline
 from floatsim.rng import derive_seed
 from floatsim.roadnet import build_manhattan, grid_from_json, grid_to_json
-from floatsim.scheme import all_on, is_feasible, scheme_cost
+from floatsim.scheme import CostWeights, all_on, is_feasible, scheme_cost
 
 TINY = {
     "seed": 5,
@@ -177,6 +177,20 @@ def test_a_value_past_what_a_step_computes_with_is_a_config_error(tmp_path, conf
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert message in str(err.value)
+
+
+def test_content_size_without_a_finite_bit_count_is_a_config_error(tmp_path, capsys):
+    # 1e308 MB is a finite number of megabytes but not of bits
+    path = write_config(tmp_path, {"content_mb": 1e308})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "content_mb must be > 0 and small enough for a finite bit count" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="finite"):
+        ChannelModel(**cli.DEFAULTS["channel"], content_bits=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        CostWeights(d_t=[60.0], content_bits=math.inf)
 
 
 @pytest.mark.parametrize("seed", [-2 ** 63, -1, 0, 2 ** 63, 2 ** 64 - 1])
@@ -464,9 +478,9 @@ def test_all_on_plan_saves_exactly_nothing(tmp_path):
 
 
 def test_report_reference_rows_equal_lone_runs(tmp_path):
-    # the report verifies all-on and full infrastructure in one batch and
-    # sweeps the anchor zone radius by radius; each row must equal separate
-    # runs on the plan's first evaluate seeds
+    # the report verifies all-on, full infrastructure and every anchor-zone
+    # radius in one batch; each row must equal separate runs on the plan's
+    # first evaluate seeds
     path = write_config(tmp_path)
     out = tmp_path / "run"
     for step in ("grid", "mobility"):
@@ -499,6 +513,27 @@ def test_report_reference_rows_equal_lone_runs(tmp_path):
     for name, (cost, ok) in want.items():
         assert float(rows[name]["cost"]) == cost, name
         assert rows[name]["feasible"] == str(int(ok)), name
+
+
+def test_each_simulating_step_makes_one_engine_call(tmp_path, monkeypatch):
+    # dataset, bootstrap, evaluate and report each simulate in one batch
+    batches = []
+    run_many = SimContext.run_many
+
+    def spy(self, schemes, *args, **kwargs):
+        batches.append(len(schemes))
+        return run_many(self, schemes, *args, **kwargs)
+
+    monkeypatch.setattr(SimContext, "run_many", spy)
+    path = str(write_config(tmp_path))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert len(batches) == 4
+    batches.clear()
+    assert main(["report", "--config", path, "--out", str(out)]) == EXIT_OK
+    # all-on, full infrastructure and each radius, on each paired seed
+    radii = default_radii(grid_from_json((out / "grid.json").read_text()))
+    assert batches == [(2 + len(radii)) * min(cli.REPORT_SEEDS, TINY["evaluate"]["seeds"])]
 
 
 def _drop_links(lines, *links):

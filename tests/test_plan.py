@@ -240,19 +240,40 @@ def test_circular_scheme_zero_radius_hits_centroid_link_only(grid):
     assert scheme.a.sum() == 1.0
 
 
-def test_circular_az_baseline_returns_smallest_feasible(planning):
-    model, verifier, forecast, req, w = planning
-    radii = default_radii(verifier.grid)
-    result = circular_az_baseline(verifier, req, w, seed=2)
-    assert result.feasible
-    assert result.radius in radii
-    # every smaller radius in the sweep must have been infeasible
-    for r in radii:
-        if r >= result.radius:
-            break
-        smaller = circular_scheme(verifier.grid, req.zoi, r, 2)
-        out = verifier.run(smaller, zoi=req.zoi, seed=derive_seed(2, 801))
-        assert not is_feasible(out, req)
+# (seed, zoi, alpha0): between them, in both channel modes, the sweep stops at
+# the smallest radius, at a later one, and at none
+AZ_SCENARIOS = [(2, (0, 1, 2), 0.9), (3, (5,), 0.5), (4, (12, 13), 0.8),
+                (2, (8, 9, 10), 0.95), (5, (20,), 0.95)]
+
+
+def test_circular_az_baseline_returns_smallest_feasible(grid, desk_traj, desk_contacts):
+    """The baseline picks what a sweep of lone runs, smallest radius first,
+    picks on the baseline's own verify seeds: the first radius feasible on
+    every seed, else the largest, at the same cost bit for bit."""
+    d_t = [150.0, 150.0]
+    radii = default_radii(grid)
+    for mode in ("instantaneous", "capacity"):
+        ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8.0)
+        ctx = SimContext(grid, desk_traj, desk_contacts, ch, d_t)
+        stops = set()
+        for seed, zoi, alpha0 in AZ_SCENARIOS:
+            req = ServiceRequest(zoi=zoi, alpha0=alpha0, d_t=np.array(d_t))
+            w = CostWeights(d_t=req.d_t, content_bits=8 * 2 ** 20 * 8.0)
+            seeds = [derive_seed(seed, 701, v) for v in range(PlannerOptions.verify_seeds)]
+            for radius in radii:
+                scheme = circular_scheme(grid, zoi, radius, len(d_t))
+                outs = [ctx.run(scheme, zoi=zoi, seed=s) for s in seeds]
+                cost = float(np.mean([scheme_cost(o, scheme, w) for o in outs]))
+                feasible = all(is_feasible(o, req) for o in outs)
+                if feasible:
+                    break
+            got = circular_az_baseline(ctx, req, w, seed=seed)
+            case = (mode, seed, zoi, alpha0)
+            assert (got.radius, got.feasible, got.cost) == (radius, feasible, cost), case
+            for plane in ("a", "b", "s"):
+                assert np.array_equal(getattr(got.scheme, plane), getattr(scheme, plane)), case
+            stops.add("none" if not feasible else "first" if radius == radii[0] else "later")
+        assert stops == {"first", "later", "none"}, mode
 
 
 def test_full_infrastructure_baseline(planning, grid):
