@@ -535,9 +535,17 @@ def cmd_train(run: Run) -> None:
                                       "seed": derive_seed(cfg["seed"], 6)})]:
             model_b = train_baseline(kind, rows[train_idx], y[train_idx], **params)
             scores[name] = f_score(model_b.predict(rows[test_idx]) > 0, y[test_idx] > 0)
-    # surrogate prediction -> predicted feasibility per (pair, interval)
-    pred = np.concatenate([zoi_alpha(result.model.predict(p.m, p.scheme).n_c, p.m.n, req.zoi)
-                           >= req.alpha0 for p in pairs])
+    # surrogate prediction -> predicted feasibility per (pair, interval), in
+    # one batched prediction per mobility block that pairs share
+    blocks: dict[int, list[int]] = {}
+    for k, p in enumerate(pairs):
+        blocks.setdefault(id(p.m), []).append(k)
+    n_c = {}
+    for ks in blocks.values():
+        predicted = result.model.predict_many(pairs[ks[0]].m, [pairs[k].scheme for k in ks])
+        n_c.update((k, c.n_c) for k, c in zip(ks, predicted))
+    pred = np.concatenate([zoi_alpha(n_c[k], p.m.n, req.zoi) >= req.alpha0
+                           for k, p in enumerate(pairs)])
     scores["surrogate"] = f_score(pred[test_idx], y[test_idx] > 0)
     with open(run.out / "fscores.csv", "w") as fh:
         fh.write("method,f_score\n")

@@ -104,7 +104,7 @@ def _trial(p, keys, cell, ids, tick) -> np.ndarray:
     partial key keys[cell[r]], chained with ids[r] (unless ids is None) and
     the tick."""
     hit = p >= 1.0
-    unsure = np.flatnonzero((p > 0.0) & ~hit)
+    unsure = ((p > 0.0) ^ hit).nonzero()[0]
     if len(unsure):
         h = keys[cell[unsure]]
         if ids is not None:
@@ -301,100 +301,105 @@ class SimContext:
         n_tracks = self.traj.num_tracks
         S = np.stack([sc.s for sc in schemes])
         bt = _Batch.build(schemes, seeds, self.n_slots, n_tracks, capacity=not instant)
-        holds = np.zeros((R, n_tracks), dtype=bool)
+        holds = np.zeros((n_tracks, R), dtype=bool)   # holds[track, run]: holder at tick k
         counts = np.zeros((R, L), dtype=np.int64)   # holders per (run, link) at tick k
-        nc_sum = np.zeros((R, L, T))
-        gamma_sum = np.zeros((R, L, T))
-        seeded = np.zeros((R, L, T), dtype=np.int64)
-        dropped = np.zeros((R, L, T), dtype=np.int64)
-        v = np.zeros((R, L, T))
+        # per-interval tables, interval first: a tick adds to one contiguous
+        # (R, L) block, which the steps update through flat views
+        nc_sum = np.zeros((T, R, L))
+        gamma_sum = np.zeros((T, R, L))
+        seeded = np.zeros((T, R, L), dtype=np.int64)
+        dropped = np.zeros((T, R, L), dtype=np.int64)
+        v = np.zeros((T, R, L))
         if v_first is not None:
-            v[:, :, 0] = np.asarray(v_first, dtype=float)
+            v[0] = np.asarray(v_first, dtype=float)
         history = [[] for _ in range(R)] if record_holders else None
         expected = np.zeros(R, dtype=np.int64)
         xfer = _Transfers.empty()       # multi-tick transfers of every run
+        ivl, boundary_of_tick = self.ivl.tolist(), self.boundary_of_tick.tolist()
+        pt_bounds, mv_bounds, exit_bounds = (
+            b.tolist() for b in (self.pt_bounds, self.mv_bounds, self.exit_bounds))
 
         for k, events in enumerate(self.open_events()):
-            t = int(self.ivl[k])
-            tids, links = self.present_at(k)
+            t = ivl[k]
+            tids = self.pt_track[pt_bounds[k]:pt_bounds[k + 1]]
+            links = self.pt_link[pt_bounds[k]:pt_bounds[k + 1]]
             bt.link[tids] = links
             if k % _FILL_TICKS == 0:
                 m = k // _FILL_TICKS
                 bt.enter(self.enter_track[self.enter_bounds[m]:self.enter_bounds[m + 1]],
                          self.slot)
-            delta = np.zeros(R, dtype=np.int64)     # holder gains minus losses
+            # holder gains minus losses of every run, kept for the ledger only
+            delta = np.zeros(R, dtype=np.int64) if debug_ledger else None
 
             # departures: holders whose track ended at k-1 lose the content
-            if k > 0:
-                gone = self.exit_track[self.exit_bounds[k - 1]:self.exit_bounds[k]]
-                if len(gone):
-                    run, col = np.nonzero(holds[:, gone])
-                    if len(run):
-                        lost = self._count(run * L + self.exit_link[gone[col]], R)
-                        dropped[:, :, t] += lost
-                        counts -= lost
+            if k > 0 and exit_bounds[k] > exit_bounds[k - 1]:
+                gone = self.exit_track[exit_bounds[k - 1]:exit_bounds[k]]
+                col, run = holds.take(gone, axis=0).nonzero()
+                if len(run):
+                    lost = self._count(run * L + self.exit_link[gone[col]], R)
+                    dropped[t] += lost
+                    counts -= lost
+                    if debug_ledger:
                         delta -= np.bincount(run, minlength=R)
-                        holds[:, gone] = False
+                    holds[gone] = False
 
-            boundary_t = int(self.boundary_of_tick[k])
+            boundary_t = boundary_of_tick[k]
             if boundary_t >= 0:
                 if boundary_t > 0:
                     prev = boundary_t - 1
-                    v[:, :, boundary_t] = safe_ratio(nc_sum[:, :, prev], self.n_sum[:, prev],
-                                                     0.0)
+                    v[boundary_t] = safe_ratio(nc_sum[prev], self.n_sum[:, prev], 0.0)
                 # the clamp owns boundary ticks: no entry-keep trials here
                 if len(tids):
-                    delta += self._seed_clamp(holds, counts, tids, links, S[:, :, t], k,
-                                              bt.prefix[rng.KIND_SEED_PRIORITY],
-                                              seeded[:, :, t], dropped[:, :, t])
-            else:
+                    self._seed_clamp(holds, counts, tids, links, S[:, :, t], k,
+                                     bt.prefix[rng.KIND_SEED_PRIORITY],
+                                     seeded[t], dropped[t], delta)
+            elif mv_bounds[k + 1] > mv_bounds[k]:
                 # entry-keep trials for holders that changed link this tick
-                lo, hi = self.mv_bounds[k], self.mv_bounds[k + 1]
-                if hi > lo:
-                    movers = self.mv_track[lo:hi]
-                    run, col = np.nonzero(holds[:, movers])
-                    if len(run):
-                        movers = movers[col]
-                        cell = run * L + self.mv_link[lo:hi][col]
-                        counts -= self._count(run * L + self.mv_prev[lo:hi][col], R)
-                        keep = _trial(bt.b[t][cell], bt.keys[rng.KIND_ENTRY_KEEP],
-                                      run * self.n_slots + self.slot[movers], None, k)
-                        counts += self._count(cell[keep], R)
-                        if not keep.all():
-                            drop = ~keep
-                            run = run[drop]
-                            dropped[:, :, t] += self._count(cell[drop], R)
-                            holds[run, movers[drop]] = False
+                lo, hi = mv_bounds[k], mv_bounds[k + 1]
+                movers = self.mv_track[lo:hi]
+                col, run = holds.take(movers, axis=0).nonzero()
+                if len(run):
+                    movers = movers[col]
+                    base = run * L
+                    cell = base + self.mv_link[lo:hi][col]
+                    np.subtract.at(counts.reshape(-1), base + self.mv_prev[lo:hi][col], 1)
+                    keep = _trial(bt.b[t][cell], bt.keys[rng.KIND_ENTRY_KEEP],
+                                  run * self.n_slots + self.slot[movers], None, k)
+                    np.add.at(counts.reshape(-1), cell[keep], 1)
+                    drop = (~keep).nonzero()[0]
+                    if len(drop):
+                        run = run[drop]
+                        np.add.at(dropped[t].reshape(-1), cell[drop], 1)
+                        holds[movers[drop], run] = False
+                        if debug_ledger:
                             delta -= np.bincount(run, minlength=R)
 
             # transfers whose receiver left, or made moot by a departure, the
             # clamp or an entry drop, are aborted
             if len(xfer):
-                xfer = xfer.keep(holds[xfer.run, xfer.snd] & ~holds[xfer.run, xfer.rcv]
+                xfer = xfer.keep(holds[xfer.snd, xfer.run] & ~holds[xfer.rcv, xfer.run]
                                  & (self.exit[xfer.rcv] >= k))
 
             # measurement: the per-tick state is the one after the clamp
-            nc_sum[:, :, t] += counts
+            nc_sum[t] += counts
             if record_holders:
                 for r in range(R):
-                    history[r].append(frozenset(np.flatnonzero(holds[r]).tolist()))
+                    history[r].append(frozenset(holds[:, r].nonzero()[0].tolist()))
 
             if instant:
                 if len(events):
-                    delta += self._step_instant(events, holds, counts, bt, t, k,
-                                                gamma_sum[:, :, t])
+                    self._step_instant(events, holds, counts, bt, t, k, gamma_sum[t], delta)
             else:
                 before = holds.copy() if debug_ledger else None
-                gained, xfer = self._step_capacity(xfer, events, holds, counts, bt, t, k,
-                                                   gamma_sum[:, :, t])
-                delta += gained
+                xfer = self._step_capacity(xfer, events, holds, counts, bt, t, k,
+                                           gamma_sum[t], delta)
                 if debug_ledger:
                     self._check_transfers(xfer, holds, before, k)
 
             if debug_ledger:
                 expected += delta
-                count = holds.sum(axis=1)
-                bad = np.flatnonzero(count != expected)
+                count = holds.sum(axis=0)
+                bad = (count != expected).nonzero()[0]
                 if len(bad):
                     r = int(bad[0])
                     raise LedgerImbalanceError(
@@ -402,13 +407,17 @@ class SimContext:
                         f"expected {int(expected[r])}")
                 self._check_counts(holds, counts, tids, links, k)
 
+        # back to (run, link, interval), C order, as every outcome array is
+        nc_sum, gamma_sum, seeded, dropped, v = (
+            np.ascontiguousarray(x.transpose(1, 2, 0))
+            for x in (nc_sum, gamma_sum, seeded, dropped, v))
         nt = self.nt.astype(float)
         outs = []
         for r in range(R):
             out = SimOutcome(
                 n=self.n_sum / nt[None, :], n_c=nc_sum[r] / nt[None, :],
-                gamma=gamma_sum[r][:, :, None] / nt[None, :, None], v=v[r].copy(),
-                seeded=seeded[r].copy(), dropped=dropped[r].copy(), d_t=self.d_t.copy(),
+                gamma=gamma_sum[r][:, :, None] / nt[None, :, None], v=v[r],
+                seeded=seeded[r], dropped=dropped[r], d_t=self.d_t.copy(),
                 tick=self.tick, seed=seeds[r],
                 zoi=tuple(sorted(zoi)) if zoi is not None else None,
                 holder_history=history[r] if record_holders else None)
@@ -426,8 +435,8 @@ class SimContext:
     def _check_counts(self, holds, counts, tids, links, k: int) -> None:
         """Debug check of the running (run, link) holder counts against a
         recount of the holders present at tick k."""
-        run, col = np.nonzero(holds[:, tids])
-        recount = self._count(run * self.L + links[col], len(holds))
+        col, run = holds.take(tids, axis=0).nonzero()
+        recount = self._count(run * self.L + links[col], holds.shape[1])
         bad = np.argwhere(recount != counts)
         if len(bad):
             r, link = (int(x) for x in bad[0])
@@ -435,14 +444,16 @@ class SimContext:
                 f"tick {k}, run {r}: link {link} has {int(recount[r, link])} holders, "
                 f"running count {int(counts[r, link])}")
 
-    def _seed_clamp(self, holds, counts, tids, links, s_t, k, prefix, seeded_t, dropped_t):
+    def _seed_clamp(self, holds, counts, tids, links, s_t, k, prefix, seeded_t, dropped_t,
+                    delta):
         """Set each (run, link) holder count to round(s*n); recounts `counts`
-        and returns the net change of every run's holder count."""
-        R, n, L = len(holds), len(tids), self.L
+        and adds the net change of every run's holder count to `delta`
+        (unless None)."""
+        (_, R), n, L = holds.shape, len(tids), self.L
         u = rng.keyed_u01_at(prefix[:, None], tids, 0, k).ravel()
         nodes = np.bincount(links, minlength=L)
         target = np.floor(s_t * nodes + 0.5).astype(np.int64)  # .5 rounds up
-        old = holds[:, tids]
+        old = holds.take(tids, axis=0).T
         # one sort for every run: (run, link) groups, best priority first
         key = (np.arange(R)[:, None] * L + links).ravel()
         order = np.lexsort((u, key))
@@ -456,78 +467,81 @@ class SimContext:
         down = old & ~new
         seeded_t += self._count(key[up.ravel()], R)
         dropped_t += self._count(key[down.ravel()], R)
-        holds[:, tids] = new
-        return up.sum(axis=1) - down.sum(axis=1)
+        holds[tids] = new.T
+        if delta is not None:
+            delta += up.sum(axis=1) - down.sum(axis=1)
 
-    def _step_instant(self, events, holds, counts, bt: "_Batch", t, k,
-                      gamma_t) -> np.ndarray:
+    def _step_instant(self, events, holds, counts, bt: "_Batch", t, k, gamma_t,
+                      delta) -> None:
         """Simultaneous single-tick transfers across all eligible contacts of
-        every run; returns each run's holder gain.
+        every run; adds each run's holder gain to `delta` (unless None).
 
         A row is a (run, event) with exactly one holder.  Its sender and
-        receiver cells (run * L + link) are computed once and serve a, b,
-        gamma and the gains.  One keyed draw covers the send trials with
-        0 < a < 1 and the receive-keep trials with 0 < b < 1 of rows that
-        may send: the two kinds share the (i, j, tick) tail of their keys.
-        Keys and the dedupe of senders and receivers index the batch's
-        tables by (run, slot) cells run * n_slots + slot[track]."""
-        R = len(holds)
+        receiver tracks are derived once, and with them their (run, link)
+        cells run * L + link, which serve a, b, gamma and the gains, and
+        their (run, slot) cells run * n_slots + slot[track], which index the
+        batch's tables for keys and the dedupe of senders and receivers.
+        One keyed draw covers the send trials with 0 < a < 1 and the
+        receive-keep trials with 0 < b < 1 of rows that may send: the two
+        kinds share the (i, j, tick) tail of their keys, whose head is the
+        (run, slot) cell of track i."""
         i, j = self.ev_i[events], self.ev_j[events]
-        hi = holds[:, i]
-        row = np.flatnonzero(hi ^ holds[:, j])        # run * len(events) + event
+        hi = holds.take(i, axis=0)
+        row = (hi ^ holds.take(j, axis=0)).reshape(-1).nonzero()[0]     # event * R + run
         if not len(row):
-            return 0
-        run = row // len(events)
-        e = row - run * len(events)
+            return
+        e, run = np.divmod(row, holds.shape[1])
         hi = hi.reshape(-1)[row]
         i, j = i[e], j[e]
-        li, lj = bt.link[i], bt.link[j]
+        snd, rcv = np.where(hi, i, j), np.where(hi, j, i)
         base = run * self.L
-        s_cell = base + np.where(hi, li, lj)
-        r_cell = base + np.where(hi, lj, li)
+        s_cell, r_cell = base + bt.link[snd], base + bt.link[rcv]
         a, b = bt.a[t][s_cell], bt.b[t][r_cell]
         tx, kept = a >= 1.0, b >= 1.0
         may_send = a > 0.0
-        us = np.flatnonzero(may_send & ~tx)
-        ub = np.flatnonzero(may_send & (b > 0.0) & ~kept)
+        us = (may_send ^ tx).nonzero()[0]                    # 0 < a < 1
+        ub = (may_send & ((b > 0.0) ^ kept)).nonzero()[0]    # a > 0 and 0 < b < 1
         slot_base = run * self.n_slots
-        i_cell, j_cell = slot_base + self.slot[i], slot_base + self.slot[j]
         if len(us) or len(ub):
+            i_cell = slot_base + self.slot[i]
             h = np.concatenate([bt.keys[rng.KIND_SEND][i_cell[us]],
                                 bt.keys[rng.KIND_RECV_KEEP][i_cell[ub]]])
             u = rng.u01(rng.chain(rng.chain(h, np.concatenate([j[us], j[ub]])), k))
             tx[us] = u[:len(us)] < a[us]
             kept[ub] = u[len(us):] < b[ub]
         if not tx.any():
-            return 0
+            return
         # a node sending on several contacts transmits once
-        snd = np.where(hi, i_cell, j_cell)[tx]
-        gamma_t += self._count(s_cell[tx][_first(bt.seen, snd)], R)
-        got = tx & kept
-        return self._gain(holds, counts, bt.seen, run[got], np.where(hi, j, i)[got],
-                          np.where(hi, j_cell, i_cell)[got], r_cell[got])
+        np.add.at(gamma_t.reshape(-1),
+                  s_cell[tx][_first(bt.seen, (slot_base + self.slot[snd])[tx])], 1.0)
+        got = (tx & kept).nonzero()[0]
+        run, rcv = run[got], rcv[got]
+        self._gain(holds, counts, bt.seen, run, rcv, run * self.n_slots + self.slot[rcv],
+                   r_cell[got], delta)
 
-    def _gain(self, holds, counts, seen, run, track, cell, link_cell) -> np.ndarray:
+    def _gain(self, holds, counts, seen, run, track, cell, link_cell, delta) -> None:
         """Make the receivers `track` of runs `run`, at (run, slot) cells
         `cell`, holders once each, and count them in `counts` at their
-        (run, link) cells; returns each run's holder gain.  Receivers hold
-        nothing before."""
-        R, n_tracks = holds.shape
+        (run, link) cells; adds each run's holder gain to `delta` (unless
+        None).  Receivers hold nothing before."""
+        R = holds.shape[1]
         first = _first(seen, cell)
-        holds.reshape(-1)[run * n_tracks + track] = True
-        counts += self._count(link_cell[first], R)
-        return np.bincount(run[first], minlength=R)
+        holds.reshape(-1)[track * R + run] = True
+        np.add.at(counts.reshape(-1), link_cell[first], 1)
+        if delta is not None:
+            delta += np.bincount(run[first], minlength=R)
 
-    def _receive(self, holds, counts, bt: "_Batch", run, i, j, receiver, t, k) -> np.ndarray:
+    def _receive(self, holds, counts, bt: "_Batch", run, i, j, receiver, t, k, delta) -> None:
         """Receive-keep trials of the finished transfers over contacts (i, j);
         a receiver that keeps any copy becomes a holder.  Receivers hold
-        nothing before the trials.  Returns each run's holder gain."""
+        nothing before the trials.  Adds each run's holder gain to `delta`
+        (unless None)."""
         r_cell = run * self.L + bt.link[receiver]
         slot_base = run * self.n_slots
         kept = _trial(bt.b[t][r_cell], bt.keys[rng.KIND_RECV_KEEP],
                       slot_base + self.slot[i], j, k)
-        return self._gain(holds, counts, bt.seen, run[kept], receiver[kept],
-                          (slot_base + self.slot[receiver])[kept], r_cell[kept])
+        self._gain(holds, counts, bt.seen, run[kept], receiver[kept],
+                   (slot_base + self.slot[receiver])[kept], r_cell[kept], delta)
 
     def _tick_bits(self, events: np.ndarray, k: int) -> np.ndarray:
         """Bits a transfer over each contact event moves in tick k: the
@@ -541,13 +555,12 @@ class SimContext:
         return np.array([bits[d] for d in dist], dtype=float)
 
     def _step_capacity(self, xfer: "_Transfers", events, holds, counts, bt: "_Batch", t, k,
-                       gamma_t) -> tuple[np.ndarray, "_Transfers"]:
+                       gamma_t, delta) -> "_Transfers":
         """Capacity tick of every run: progress the multi-tick transfers, then
-        start new ones (one per node).  Returns each run's holder gain and the
-        transfer table after the tick."""
-        R = len(holds)
+        start new ones (one per node).  Adds each run's holder gain to
+        `delta` (unless None); returns the transfer table after the tick."""
+        R = holds.shape[1]
         content_bits = self.channel.content_bits
-        gain = np.zeros(R, dtype=np.int64)
 
         # progress: a transfer whose contact ended is lost, with no partial content
         xfer = xfer.keep(k <= self.ev_end[xfer.ev])
@@ -557,8 +570,8 @@ class SimContext:
             done = xfer.bits >= content_bits
             if done.any():
                 fin = xfer.keep(done)
-                gain += self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
-                                      self.ev_j[fin.ev], fin.rcv, t, k)
+                self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
+                              self.ev_j[fin.ev], fin.rcv, t, k, delta)
                 xfer = xfer.keep(~done)
 
         new = self._start_transfers(xfer, events, holds, bt, t, k) if len(events) \
@@ -568,13 +581,13 @@ class SimContext:
             one = new.bits >= content_bits
             if one.any():
                 fin = new.keep(one)
-                gain += self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
-                                      self.ev_j[fin.ev], fin.rcv, t, k)
+                self._receive(holds, counts, bt, fin.run, self.ev_i[fin.ev],
+                              self.ev_j[fin.ev], fin.rcv, t, k, delta)
             if not one.all():
                 xfer = xfer + new.keep(~one)
         # a sender transmits on the link it is on
         gamma_t += self._count(run * self.L + bt.link[snd], R)
-        return gain, xfer
+        return xfer
 
     def _start_transfers(self, xfer, events, holds, bt: "_Batch", t, k) -> "_Transfers | None":
         """Send trials and partner picks on contacts between an idle holder
@@ -586,10 +599,10 @@ class SimContext:
         completes in one tick leaves its receiver free.  A sender's pick is
         final once no earlier open sender of its run shares a candidate
         receiver with it, so each round settles every such sender at once."""
-        n_tracks = holds.shape[1]
+        n_tracks = holds.shape[0]
         # per (run, track): 0 idle non-holder, 1 idle holder, 2 busy
         state = bt.state
-        np.copyto(state, holds.view(np.int8))
+        np.copyto(state, holds.T.view(np.int8))
         state[xfer.run, xfer.snd] = 2
         state[xfer.run, xfer.rcv] = 2
         i, j = self.ev_i[events], self.ev_j[events]
@@ -676,15 +689,15 @@ class SimContext:
         hold it before this tick's transfers (one that got it from a one-tick
         transfer this tick may also be the target of a new, moot, multi-tick
         one); both ends are present."""
-        n_tracks = holds.shape[1]
+        n_tracks = holds.shape[0]
         ends = np.concatenate([xfer.run * n_tracks + xfer.snd, xfer.run * n_tracks + xfer.rcv])
         run, track = np.divmod(ends, n_tracks)
         checks = [
             ("is in two transfers", np.bincount(ends)[ends] > 1),
             ("sends content it does not hold",
-             np.concatenate([~holds[xfer.run, xfer.snd], np.zeros(len(xfer), dtype=bool)])),
+             np.concatenate([~holds[xfer.snd, xfer.run], np.zeros(len(xfer), dtype=bool)])),
             ("receives content it already held",
-             np.concatenate([np.zeros(len(xfer), dtype=bool), before[xfer.run, xfer.rcv]])),
+             np.concatenate([np.zeros(len(xfer), dtype=bool), before[xfer.rcv, xfer.run]])),
             ("is in a transfer but not present",
              (self.enter[track] > k) | (self.exit[track] < k)),
         ]
@@ -741,7 +754,10 @@ class _Batch:
     def build(cls, schemes, seeds, n_slots: int, n_tracks: int, capacity: bool) -> "_Batch":
         R = len(schemes)
         L, T = schemes[0].shape
-        prefix = {kind: np.array([rng.key_prefix(sd, kind) for sd in seeds], dtype=np.uint64)
+        # every run's seed read as key_prefix reads a lone seed, then one
+        # array hash per kind
+        seeds = np.array([rng.as_u64(sd) for sd in seeds], dtype=np.uint64)
+        prefix = {kind: rng.key_prefix(seeds, kind)
                   for kind in (rng.KIND_SEED_PRIORITY, rng.KIND_ENTRY_KEEP, rng.KIND_SEND,
                                rng.KIND_RECV_KEEP, rng.KIND_PARTNER)}
         keys = {kind: np.zeros(R * n_slots, dtype=np.uint64)

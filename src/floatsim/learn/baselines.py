@@ -94,25 +94,29 @@ class DecisionTreeClassifier:
         return self
 
     def _best_split(self, x: np.ndarray, y: np.ndarray):
+        """Every cut of every feature scored in one pass: the columns are
+        sorted at once, and a cut between two distinct values scores the
+        weighted Gini of its sides.  The features are then scanned in
+        ascending order, and one takes the lead only by beating the best
+        earlier minimum by more than 1e-15."""
         n = len(y)
-        best = (np.inf, None, None)
         onehot = np.zeros((n, self._classes))
         onehot[np.arange(n), y] = 1.0
-        for f in range(x.shape[1]):
-            order = np.argsort(x[:, f], kind="stable")
-            xs = x[order, f]
-            cum = np.cumsum(onehot[order], axis=0)
-            cut = np.nonzero(xs[:-1] < xs[1:])[0]      # split between distinct values
-            if cut.size == 0:
-                continue
-            n_left = (cut + 1).astype(float)
-            n_right = n - n_left
-            g_left = _gini_from_counts(cum[cut], n_left)
-            g_right = _gini_from_counts(cum[-1] - cum[cut], n_right)
-            weighted = (n_left * g_left + n_right * g_right) / n
-            k = int(np.argmin(weighted))
-            if weighted[k] < best[0] - 1e-15:
-                best = (float(weighted[k]), int(f), _split_point(xs[cut[k]], xs[cut[k] + 1]))
+        order = np.argsort(x, axis=0, kind="stable")                  # (n, F)
+        xs = np.take_along_axis(x, order, axis=0)
+        cum = np.cumsum(onehot[order], axis=0)                        # (n, F, classes)
+        n_left = np.arange(1.0, n)[:, None]                           # cut after row r
+        n_right = n - n_left
+        g_left = _gini_from_counts(cum[:-1], n_left)
+        g_right = _gini_from_counts(cum[-1] - cum[:-1], n_right)
+        weighted = np.where(xs[:-1] < xs[1:],                         # between distinct values
+                            (n_left * g_left + n_right * g_right) / n, np.inf)
+        cut = weighted.argmin(axis=0)
+        best = (np.inf, None, None)
+        for f, (w, k) in enumerate(zip(weighted[cut, np.arange(x.shape[1])].tolist(),
+                                       cut.tolist())):
+            if w < best[0] - 1e-15:
+                best = (w, f, _split_point(xs[k, f], xs[k + 1, f]))
         return best[1], best[2]
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:

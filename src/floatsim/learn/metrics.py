@@ -1,4 +1,4 @@
-"""Binary classification and planning-quality metrics."""
+"""Binary classification metrics."""
 
 from __future__ import annotations
 
@@ -19,14 +19,3 @@ def f_score(predicted, true) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def rejection_probability(emitted, verdicts) -> float:
-    """Fraction of emitted strategies whose simulated outcome missed the
-    success-ratio target."""
-    v = np.asarray(verdicts, dtype=bool)
-    if len(emitted) != len(v):
-        raise ValueError(f"{len(emitted)} strategies but {len(v)} verdicts")
-    if len(v) == 0:
-        raise ValueError("no strategies to score")
-    return float(np.mean(~v))

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..dataset import CommFeatures, Normalizer, TrainingPair, fit_normalizer, link_inputs
+from ..dataset import CommFeatures, Normalizer, TrainingPair, fit_normalizer
 from ..mobility import MobilityFeatures
 from ..roadnet import RasterEmbedding
 from ..rng import derive_seed
@@ -132,24 +132,52 @@ class SurrogateModel:
 
     # -- AP-level interface --------------------------------------------------------
     def predict(self, m: MobilityFeatures, scheme: FcScheme) -> CommFeatures:
-        if m.shape != scheme.shape:
-            raise PredictShapeError(f"mobility {m.shape} vs scheme {scheme.shape}")
+        return self.predict_many(m, [scheme])[0]
+
+    def predict_many(self, m: MobilityFeatures, schemes) -> list[CommFeatures]:
+        """Predicted communication features of every strategy under one
+        mobility forecast, from one forward pass over their stacked rasters;
+        entry c equals `predict(m, schemes[c])` bit for bit."""
+        schemes = list(schemes)
+        for scheme in schemes:
+            if m.shape != scheme.shape:
+                raise PredictShapeError(f"mobility {m.shape} vs scheme {scheme.shape}")
         if m.shape[0] != self.embedding.num_links:
             raise PredictShapeError(
                 f"{m.shape[0]} links but embedding maps {self.embedding.num_links}")
-        out = self.forward(input_rasters(self.embedding, self.normalizer, m, scheme))
-        # (2, L, T) per-node ratios n_c/n and gamma/n, scaled back to counts;
+        if not schemes:
+            return []
+        (L, T), C = m.shape, len(schemes)
+        out = input_rasters(self.embedding, self.normalizer, m, schemes)
+        for layer in self.layers:
+            if isinstance(layer, Dense):
+                # the head multiplies each strategy's T rows by themselves, as
+                # a lone prediction does: BLAS rounds a one-row product (gemv)
+                # otherwise than a product of several rows (gemm), while the
+                # convolutions give every row the same result in any batch
+                out = out.reshape(C, T, -1)
+            out = layer.forward(out)
+        out = out.reshape(C * T, self.embedding.H, self.embedding.W, OUTPUT_CHANNELS)
+        # (2, C, L, T) per-node ratios n_c/n and gamma/n, scaled back to counts;
         # in C order, since numpy's reductions over n_c sum in layout order
-        ratio = self.embedding.unrasterize(out.transpose(3, 0, 1, 2)).transpose(0, 2, 1)
+        ratio = self.embedding.unrasterize(out.transpose(3, 0, 1, 2))     # (2, C*T, L)
+        ratio = ratio.reshape(OUTPUT_CHANNELS, C, T, L).transpose(0, 1, 3, 2)
         n_c, gamma = np.ascontiguousarray(ratio) * m.n
-        return CommFeatures(n_c=n_c, gamma=gamma[:, :, None])
+        return [CommFeatures(n_c=n_c[c], gamma=gamma[c, :, :, None]) for c in range(C)]
 
 
 def input_rasters(embedding: RasterEmbedding, normalizer: Normalizer,
-                  m: MobilityFeatures, scheme: FcScheme) -> np.ndarray:
-    """(T, H, W, 7) network input: the link_inputs stack, one raster per interval."""
-    x = link_inputs(normalizer, m, scheme).transpose(2, 0, 1)          # (T, 7, L)
-    return embedding.rasterize(x).transpose(0, 2, 3, 1)
+                  m: MobilityFeatures, schemes) -> np.ndarray:
+    """(C*T, H, W, 7) network input of C strategies under one mobility
+    forecast: the link_inputs stack, one raster per (strategy, interval).
+    The mobility channels are rasterized once; a raster takes each row on
+    its own, so they equal those of a lone strategy."""
+    mobility = embedding.rasterize(normalizer.transform_mobility(m).transpose(2, 0, 1))
+    planes = embedding.rasterize(
+        np.stack([[sc.a, sc.b, sc.s] for sc in schemes]).transpose(0, 3, 1, 2))  # (C, T, 3, ...)
+    x = np.concatenate([np.broadcast_to(mobility, (len(schemes),) + mobility.shape), planes],
+                       axis=2)
+    return x.reshape((-1,) + x.shape[2:]).transpose(0, 2, 3, 1)
 
 
 def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
@@ -160,7 +188,7 @@ def make_examples(pairs: list[TrainingPair], embedding: RasterEmbedding,
         raise TrainingDataError("no training pairs")
     xs, ys = [], []
     for p in pairs:
-        xs.append(input_rasters(embedding, normalizer, p.m, p.scheme))
+        xs.append(input_rasters(embedding, normalizer, p.m, [p.scheme]))
         ratio = safe_ratio(np.stack([p.c.n_c, p.c.gamma.sum(axis=2)]), p.m.n, 0.0)
         ys.append(embedding.rasterize(ratio.transpose(2, 0, 1)).transpose(0, 2, 3, 1))
     return np.concatenate(xs), np.concatenate(ys)

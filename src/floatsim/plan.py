@@ -23,7 +23,7 @@ from .fcsim import SimContext, SimOutcome
 from .mobility import MobilityFeatures
 from .rng import derive_seed
 from .scheme import (CostWeights, FcScheme, ServiceRequest, all_on, check_settings,
-                     is_feasible, safe_ratio, scheme_cost, zoi_alpha)
+                     is_feasible, safe_ratio, scheme_cost, scheme_costs)
 
 
 class ProblemInfeasibleError(RuntimeError):
@@ -94,29 +94,10 @@ def verify(verifier: SimContext, schemes, req: ServiceRequest, w: CostWeights, s
     return checks
 
 
-@dataclass
-class PredictedOutcome:
-    """Surrogate-predicted stand-in for a SimOutcome in cost evaluation."""
-    n: np.ndarray
-    n_c: np.ndarray
-    gamma: np.ndarray
-    v: np.ndarray
-
-
 def _carried_availability(n_c: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Availability carried into the next interval: the share of a link's
     nodes holding the content, in [0, 1], and 0 on links without nodes."""
     return np.clip(safe_ratio(n_c, n, 0.0), 0.0, 1.0)
-
-
-def _predicted_outcome(model, m: MobilityFeatures, scheme: FcScheme,
-                       v_first: np.ndarray | None) -> PredictedOutcome:
-    c = model.predict(m, scheme)
-    v = np.zeros(c.shape)
-    if v_first is not None:
-        v[:, 0] = v_first
-    v[:, 1:] = _carried_availability(c.n_c[:, :-1], m.n[:, :-1])
-    return PredictedOutcome(n=m.n, n_c=c.n_c, gamma=c.gamma, v=v)
 
 
 def _zoi_centroid(grid, zoi) -> np.ndarray:
@@ -175,12 +156,30 @@ def _candidates(model, grid, req: ServiceRequest, T: int, opts: PlannerOptions,
     return cands, structured
 
 
-def _score(model, m, scheme, req, w, v_first):
+def _score(model, m: MobilityFeatures, schemes: list[FcScheme], req: ServiceRequest,
+           w: CostWeights, v_first: np.ndarray | None) -> list[tuple[float, float]]:
     """Predicted lowest success ratio over the intervals (NaN read as -1)
-    and predicted cost."""
-    out = _predicted_outcome(model, m, scheme, v_first)
-    alpha = zoi_alpha(out.n_c, out.n, req.zoi)
-    return float(np.min(np.nan_to_num(alpha, nan=-1.0))), scheme_cost(out, scheme, w)
+    and predicted cost of every strategy, from one surrogate pass.
+
+    The availability of the first interval is v_first (0 if None), of every
+    later one that carried over from the predicted holders before it."""
+    # a model with only `predict`, such as perfbench's FixedModel ablation
+    # stand-in, predicts one strategy at a time
+    preds = (model.predict_many(m, schemes) if hasattr(model, "predict_many")
+             else [model.predict(m, scheme) for scheme in schemes])
+    n_c = np.stack([c.n_c for c in preds])                 # (C, L, T)
+    v = np.zeros(n_c.shape)
+    if v_first is not None:
+        v[:, :, 0] = v_first
+    v[:, :, 1:] = _carried_availability(n_c[:, :, :-1], m.n[:, :-1])
+    z = np.asarray(req.zoi, dtype=np.int64)                # sorted, as in zoi_alpha
+    # each strategy sums its own ZOI rows, as zoi_alpha does: one sum over
+    # the stack may add in another order
+    alpha = safe_ratio(np.stack([rows.sum(axis=0) for rows in n_c[:, z]]),
+                       m.n[z].sum(axis=0), np.nan)
+    cost = scheme_costs(n_c, np.stack([c.gamma for c in preds]), v,
+                        np.stack([scheme.s for scheme in schemes]), w)
+    return list(zip(np.min(np.nan_to_num(alpha, nan=-1.0), axis=1).tolist(), cost.tolist()))
 
 
 def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
@@ -192,9 +191,8 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
     start = time.perf_counter()
     cands, structured = _candidates(model, verifier.grid, req, len(w.d_t), opts, seed,
                                     incumbent)
-
-    scored = [(idx, scheme, *_score(model, m, scheme, req, w, v_first))
-              for idx, scheme in enumerate(cands)]
+    scored = [(idx, scheme, *score) for idx, (scheme, score)
+              in enumerate(zip(cands, _score(model, m, cands, req, w, v_first)))]
 
     # local perturbations of the best predicted-feasible candidate
     bar = req.alpha0 * (1.0 + MARGIN)
@@ -202,9 +200,9 @@ def _plan(model, m: MobilityFeatures, req: ServiceRequest, w: CostWeights,
     if feas:
         best_idx = min(feas)[1]
         gen = np.random.default_rng(derive_seed(seed, 603))
-        for _ in range(N_PERTURB):
-            extra = cands[best_idx].perturbed(PERTURB_SIGMA, gen)
-            scored.append((len(scored), extra, *_score(model, m, extra, req, w, v_first)))
+        extras = [cands[best_idx].perturbed(PERTURB_SIGMA, gen) for _ in range(N_PERTURB)]
+        scored += [(len(cands) + k, extra, *score) for k, (extra, score)
+                   in enumerate(zip(extras, _score(model, m, extras, req, w, v_first)))]
 
     survivors = sorted(((cost, idx, scheme) for idx, scheme, alpha, cost in scored
                         if alpha >= bar), key=lambda r: r[:2])

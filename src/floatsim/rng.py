@@ -25,13 +25,21 @@ _S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer: full avalanche on 64 bits
-    x = (x ^ (x >> _S30)) * _MUL1
-    x = (x ^ (x >> _S27)) * _MUL2
-    return x ^ (x >> _S31)
+    """splitmix64 finalizer, full avalanche on 64 bits, of a fresh x: in
+    place when x is an array, 0-d ones included.  Array uint64 arithmetic
+    wraps without a warning; scalar arithmetic warns unless the caller holds
+    np.errstate(over="ignore")."""
+    x ^= x >> _S30
+    x *= _MUL1
+    x ^= x >> _S27
+    x *= _MUL2
+    x ^= x >> _S31
+    return x
 
 
-def _as_u64(v) -> np.ndarray:
+def as_u64(v) -> np.ndarray:
+    """A key field (seed, kind, id or tick) as uint64: signed integers by
+    their two's complement bits."""
     a = np.asarray(v)
     if a.dtype.kind == "i":
         return a.astype(np.int64, copy=False).view(np.uint64)
@@ -45,15 +53,16 @@ def key_prefix(seed, kind) -> np.ndarray:
     array arguments).  Draws that share it hash only their ids and tick, so
     a batch of runs hashes each run's head once."""
     with np.errstate(over="ignore"):
-        return chain(_finalize(_as_u64(seed) + _GAMMA), kind)
+        return chain(_finalize(as_u64(seed) + _GAMMA), kind)
 
 
 def chain(prefix, ids) -> np.ndarray:
     """The partial key `prefix` extended by one more key field (uint64,
     broadcast over both arguments).  Keys hash left to right, so a partial
-    key shared by many draws is hashed once and chained per draw."""
-    with np.errstate(over="ignore"):
-        return _finalize((np.asarray(prefix, dtype=np.uint64) + _GAMMA) ^ _as_u64(ids))
+    key shared by many draws is hashed once and chained per draw.  The hash
+    runs on an array, 0-d for scalar arguments, so it needs no errstate."""
+    return _finalize(np.asarray((np.asarray(prefix, dtype=np.uint64) + _GAMMA)
+                                ^ as_u64(ids)))
 
 
 def u01(h) -> np.ndarray:
@@ -72,7 +81,7 @@ def keyed_u01_at(prefix, id_a, id_b, tick) -> np.ndarray:
 def derive_seed(seed: int, *fields: int) -> int:
     """Deterministic child seed for spawning numpy Generators."""
     with np.errstate(over="ignore"):
-        h = _finalize(_as_u64(seed) + _GAMMA)
+        h = _finalize(as_u64(seed) + _GAMMA)
         for f in fields:
-            h = _finalize((h + _GAMMA) ^ _as_u64(f))
+            h = _finalize((h + _GAMMA) ^ as_u64(f))
     return int(h)

@@ -132,12 +132,20 @@ def scheme_cost(outcome, scheme: FcScheme, w: CostWeights) -> float:
         raise CostShapeError(f"outcome shape {outcome.n_c.shape} != scheme shape {(L, T)}")
     if len(w.d_t) != T:
         raise CostShapeError(f"{len(w.d_t)} interval durations for T={T}")
-    theta = np.broadcast_to(np.asarray(w.theta, dtype=float), outcome.gamma.shape)
-    comm = (theta * outcome.gamma).sum(axis=2)            # (L, T)
-    usage = (w.d_t[None, :] * w.content_bits * (outcome.n_c + w.beta * comm)).sum()
+    return float(scheme_costs(outcome.n_c[None], outcome.gamma[None], outcome.v[None],
+                              scheme.s[None], w)[0])
+
+
+def scheme_costs(n_c, gamma, v, s, w: CostWeights) -> np.ndarray:
+    """`scheme_cost` of C outcomes and strategies stacked on a first axis:
+    n_c, v and s are (C, L, T) and gamma (C, L, T, U).  Each total is a sum
+    over its own (L, T) block, so it equals the lone cost bit for bit."""
+    theta = np.broadcast_to(np.asarray(w.theta, dtype=float), gamma.shape[1:])
+    comm = (theta * gamma).sum(axis=3)                     # (C, L, T)
+    usage = np.array([x.sum() for x in w.d_t * w.content_bits * (n_c + w.beta * comm)])
     usage /= w.d_t.sum()
-    seeding = w.delta * w.content_bits * np.maximum(scheme.s - outcome.v, 0.0).sum()
-    return float(usage + seeding)
+    seeding = w.delta * w.content_bits * np.array([x.sum() for x in np.maximum(s - v, 0.0)])
+    return usage + seeding
 
 
 def safe_ratio(num, den, fill):

@@ -9,8 +9,7 @@ from floatsim import (ChannelModel, FcScheme, build_dataset, fit_normalizer,
 from floatsim.learn import (DecisionTreeClassifier, KNNClassifier,
                             RandomForestClassifier, SurrogateHyper, SurrogateModel,
                             check_layer, f_score, flatten_pair_rows,
-                            load_model, make_examples,
-                            rejection_probability, save_model, train_baseline,
+                            load_model, make_examples, save_model, train_baseline,
                             train_surrogate)
 from floatsim.learn.baselines import BaselineParameterError
 from floatsim.learn.gradcheck import check_model_loss
@@ -18,6 +17,9 @@ from floatsim.learn.layers import Conv2D, Dense, Flatten, MaxPool2x2, ReLU, Soft
 from floatsim.learn.surrogate import (TrainingDataError, TrainingDivergedError, input_rasters,
                                       masked_mse)
 from floatsim.rng import derive_seed
+from floatsim.dataset import link_inputs
+from floatsim.mobility import MobilityFeatures
+from floatsim.scheme import zoi_alpha
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,36 @@ def test_predict_is_pure_and_finite(trained):
     assert np.all(np.isfinite(out.n_c)) and np.all(np.isfinite(out.gamma))
 
 
+def _lone_forward(model, m, scheme):
+    """n_c and gamma of one strategy from a forward pass of its own rasters,
+    built channel by channel as the surrogate's input stack."""
+    x = model.embedding.rasterize(link_inputs(model.normalizer, m, scheme).transpose(2, 0, 1))
+    out = model.forward(x.transpose(0, 2, 3, 1))
+    ratio = model.embedding.unrasterize(out.transpose(3, 0, 1, 2)).transpose(0, 2, 1)
+    return np.ascontiguousarray(ratio) * m.n
+
+
+@pytest.mark.parametrize("T", [10, 1])
+def test_predict_many_equals_lone_forward_passes(trained, T):
+    # with one interval the head multiplies a single row per strategy, which
+    # BLAS rounds otherwise than a product of several rows
+    res, pairs, _ = trained
+    model, full = res.model, pairs[0].m
+    m = MobilityFeatures(full.n[:, :T], full.lam[:, :T], full.tau[:, :T], full.nu[:, :T],
+                         full.empty[:, :T], full.d_t[:T])
+    pool = [FcScheme(p.scheme.a[:, :T], p.scheme.b[:, :T], p.scheme.s[:, :T])
+            for p in pairs[:9]]
+    lone = [_lone_forward(model, m, scheme) for scheme in pool]
+    for size in (1, 2, len(pool)):
+        for lo in range(0, len(pool) - size + 1, size):
+            for c, want in zip(model.predict_many(m, pool[lo:lo + size]), lone[lo:lo + size]):
+                assert c.n_c.flags.c_contiguous and c.gamma.shape == m.shape + (1,)
+                assert c.n_c.tobytes() == want[0].tobytes()
+                assert c.gamma.tobytes() == want[1][:, :, None].tobytes()
+    assert model.predict(m, pool[3]).n_c.tobytes() == lone[3][0].tobytes()
+    assert model.predict_many(m, []) == []
+
+
 def test_model_save_load_roundtrip(tmp_path, trained):
     res, pairs, _ = trained
     path = tmp_path / "model.bin"
@@ -264,6 +296,61 @@ def test_tree_splits_adjacent_floats():
     assert np.array_equal(model.predict(x), y)
 
 
+def _loop_best_split(tree, x, y):
+    """The split search as a loop over the features, one sort each: the
+    reference the one-pass search must reproduce."""
+    from floatsim.learn.baselines import _gini_from_counts, _split_point
+    n = len(y)
+    best = (np.inf, None, None)
+    onehot = np.zeros((n, tree._classes))
+    onehot[np.arange(n), y] = 1.0
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        cum = np.cumsum(onehot[order], axis=0)
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if cut.size == 0:
+            continue
+        n_left = (cut + 1).astype(float)
+        n_right = n - n_left
+        g_left = _gini_from_counts(cum[cut], n_left)
+        g_right = _gini_from_counts(cum[-1] - cum[cut], n_right)
+        weighted = (n_left * g_left + n_right * g_right) / n
+        k = int(np.argmin(weighted))
+        if weighted[k] < best[0] - 1e-15:
+            best = (float(weighted[k]), int(f), _split_point(xs[cut[k]], xs[cut[k] + 1]))
+    return best[1], best[2]
+
+
+def _split_sets(trained):
+    """Desk-like surrogate rows with feasibility labels, and a random
+    three-class set whose rounded features tie often."""
+    res, pairs, _ = trained
+    rows = flatten_pair_rows(pairs, res.model.normalizer)
+    alpha = np.concatenate([zoi_alpha(p.c.n_c, p.m.n, (0, 1, 2)) for p in pairs])
+    desk = (rows, (alpha >= np.median(alpha)).astype(np.int64))
+    gen = np.random.default_rng(12)
+    x = np.round(gen.normal(size=(150, 12)), 1)
+    return [desk, (x, gen.integers(0, 3, len(x)))]
+
+
+def test_one_pass_split_matches_feature_loop(trained, monkeypatch):
+    gen = np.random.default_rng(4)
+    for x, y in _split_sets(trained):
+        tree = DecisionTreeClassifier().fit(x, y)
+        for size in (2, 3, 10, len(y) // 2, len(y)):       # nodes of several sizes
+            rows = gen.choice(len(y), size, replace=False)
+            assert tree._best_split(x[rows], y[rows]) == _loop_best_split(tree, x[rows], y[rows])
+        probe = np.round(gen.normal(size=(200, x.shape[1])), 1)
+        fits = []
+        for split in (DecisionTreeClassifier._best_split, _loop_best_split):
+            monkeypatch.setattr(DecisionTreeClassifier, "_best_split", split)
+            models = [DecisionTreeClassifier(max_depth=6).fit(x, y),
+                      RandomForestClassifier(n_trees=4, max_depth=6, seed=3).fit(x, y)]
+            fits.append([m.predict(z) for m in models for z in (x, probe)])
+        assert all(np.array_equal(a, b) for a, b in zip(*fits))
+
+
 def test_forest_single_tree_matches_lone_tree():
     x, y = _toy_rows(120)
     forest = RandomForestClassifier(n_trees=1, max_depth=4, seed=5).fit(x, y)
@@ -316,7 +403,7 @@ def test_input_stack_matches_per_interval_builders(trained):
             ys.append(np.stack([emb.rasterize(nc_ratio[:, t]),
                                 emb.rasterize(g_ratio[:, t])], axis=-1))
             rows.append(np.concatenate(planes))
-        assert input_rasters(emb, norm, m, p.scheme).tobytes() == np.stack(x).tobytes()
+        assert input_rasters(emb, norm, m, [p.scheme]).tobytes() == np.stack(x).tobytes()
         xs += x
         out = model.forward(np.stack(x))
         n_c = np.stack([emb.unrasterize(out[t, :, :, 0]) for t in range(T)], axis=1) * m.n
@@ -343,14 +430,6 @@ def test_f_score_cases():
     pred = [1, 1, 0, 0]
     true = [1, 0, 1, 0]
     assert f_score(pred, true) == pytest.approx(0.5)
-
-
-def test_rejection_probability():
-    strategies = ["s1", "s2", "s3", "s4"]
-    verdicts = [True, False, True, True]
-    assert rejection_probability(strategies, verdicts) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        rejection_probability(strategies, [True])
 
 
 def test_masked_mse_ignores_padding(trained):

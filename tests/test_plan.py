@@ -10,7 +10,9 @@ from floatsim.learn import SurrogateHyper, train_surrogate
 from floatsim.plan import (PlannerOptions, ProblemInfeasibleError, ReplanRangeError,
                            bootstrap, circular_az_baseline, circular_scheme,
                            default_radii, full_infrastructure_baseline, replan, verify)
+from floatsim.dataset import link_inputs
 from floatsim.rng import derive_seed
+from floatsim.scheme import zoi_alpha
 from conftest import make_traj
 
 
@@ -220,6 +222,94 @@ def test_replan_range_errors(planning):
         replan(model, live, m_rest, req, w, opts, rest, t0=1, seed=1)
     with pytest.raises(ReplanRangeError):
         replan(model, live, m_rest, req, w, opts, rest, t0=3, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# pool scoring
+# ---------------------------------------------------------------------------
+
+def _lone_score(model, m, scheme, req, w, v_first):
+    """One strategy scored on its own, as the planner scored every candidate
+    before pool scoring: a forward pass of its own rasters, the availability
+    it carries, its ZOI success ratio and the cost formula written out."""
+    x = model.embedding.rasterize(link_inputs(model.normalizer, m, scheme).transpose(2, 0, 1))
+    out = model.forward(x.transpose(0, 2, 3, 1))
+    ratio = model.embedding.unrasterize(out.transpose(3, 0, 1, 2)).transpose(0, 2, 1)
+    n_c, gamma = np.ascontiguousarray(ratio) * m.n
+    v = np.zeros(n_c.shape)
+    if v_first is not None:
+        v[:, 0] = v_first
+    v[:, 1:] = np.clip(np.where(m.n[:, :-1] > 0,
+                                n_c[:, :-1] / np.maximum(m.n[:, :-1], 1e-300), 0.0), 0.0, 1.0)
+    alpha = float(np.min(np.nan_to_num(zoi_alpha(n_c, m.n, req.zoi), nan=-1.0)))
+    theta = np.broadcast_to(np.asarray(w.theta, dtype=float), gamma.shape + (1,))
+    comm = (theta * gamma[:, :, None]).sum(axis=2)
+    usage = (w.d_t[None, :] * w.content_bits * (n_c + w.beta * comm)).sum()
+    usage /= w.d_t.sum()
+    seeding = w.delta * w.content_bits * np.maximum(scheme.s - v, 0.0).sum()
+    return alpha, float(usage + seeding)
+
+
+def _replan_form(verifier, req, w):
+    """The second interval of the request, from the live availability of an
+    all-on run: mobility, carried availability, request and weights."""
+    live = verifier.run(all_on(verifier.L, 2), zoi=req.zoi, seed=5)
+    m = mobility_features(verifier.traj, verifier.contacts, verifier.grid, [300.0])
+    v_first = plan._carried_availability(live.n_c[:, 0], live.n[:, 0])
+    d_rest = req.d_t[1:]
+    return (m, v_first, ServiceRequest(zoi=req.zoi, alpha0=req.alpha0, d_t=d_rest),
+            CostWeights(d_t=d_rest, content_bits=w.content_bits, beta=0.5,
+                        theta=np.linspace(0.5, 2.0, verifier.L)[:, None, None]))
+
+
+@pytest.mark.parametrize("form", ["bootstrap", "replan"])
+def test_pool_scores_equal_lone_scores(planning, form):
+    # one surrogate pass over a pool scores every strategy bit for bit as a
+    # pass of its own did; the replan form has one interval, so the head
+    # multiplies one row per strategy, and carries availability in
+    model, verifier, forecast, req, w = planning
+    m, v_first = forecast, None
+    if form == "replan":
+        m, v_first, req, w = _replan_form(verifier, req, w)
+    opts = PlannerOptions(n_candidates=12)
+    pool, _ = plan._candidates(model, verifier.grid, req, m.shape[1], opts, 3, all_on(
+        verifier.L, m.shape[1]))
+    lone = np.array([_lone_score(model, m, scheme, req, w, v_first) for scheme in pool])
+    for size in (1, 2, len(pool)):
+        for lo in range(0, len(pool) - size + 1, size):
+            got = np.array(plan._score(model, m, pool[lo:lo + size], req, w, v_first))
+            assert got.tobytes() == lone[lo:lo + size].tobytes(), (size, lo)
+
+
+class _PredictOnly:
+    """The surrogate behind `predict` alone, like a model without
+    `predict_many`: the planner maps `predict` over the pool."""
+
+    def __init__(self, model):
+        self.embedding, self.predict = model.embedding, model.predict
+
+
+def test_predict_only_model_plans_the_same(planning):
+    model, verifier, forecast, req, w = planning
+    opts = PlannerOptions(n_candidates=12, verify_top_k=4, verify_seeds=2)
+    rest = SimContext(verifier.grid, verifier.traj, verifier.contacts, verifier.channel,
+                      [300.0])
+    m_rest = mobility_features(verifier.traj, verifier.contacts, verifier.grid, [300.0])
+    for seed in (3, 8):
+        plans = [bootstrap(mdl, forecast, req, w, opts, verifier, seed=seed)
+                 for mdl in (model, _PredictOnly(model))]
+        live = verifier.run(plans[0].scheme, zoi=req.zoi, seed=seed)
+        plans += [replan(mdl, live, m_rest, req, w, opts, rest, t0=2, seed=seed,
+                         incumbent=plans[0].scheme) for mdl in (model, _PredictOnly(model))]
+        for batched, mapped in (plans[:2], plans[2:]):
+            for name in ("a", "b", "s"):
+                assert getattr(batched.scheme, name).tobytes() == \
+                    getattr(mapped.scheme, name).tobytes()
+            assert batched.alpha.tobytes() == mapped.alpha.tobytes()
+            assert (batched.predicted_cost, batched.verified_cost, batched.fallback,
+                    batched.examined, batched.filtered, batched.verified) == \
+                (mapped.predicted_cost, mapped.verified_cost, mapped.fallback,
+                 mapped.examined, mapped.filtered, mapped.verified)
 
 
 # ---------------------------------------------------------------------------

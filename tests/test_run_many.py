@@ -163,6 +163,27 @@ def test_contended_partner_picks_match_one_run_engine(grid, data):
 
 
 @pytest.mark.parametrize("mode", ["instantaneous", "capacity"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_debug_ledger_leaves_outcomes_unchanged(grid, data, mode):
+    # the per-tick holder deltas are built only for the ledger's checks: a
+    # batch run without them ends exactly as the checked one
+    scenes = contexts(grid, mode)
+    if mode == "capacity":
+        scenes = st.one_of(scenes, crowded_contexts(grid))
+    ctx = data.draw(scenes)
+    schemes, seeds = data.draw(batches(ctx.L, ctx.T))
+    zoi = data.draw(st.one_of(st.none(), st.sets(st.integers(0, N_LINKS - 1), min_size=1)))
+    v_first = data.draw(st.one_of(st.none(), st.just(
+        np.random.default_rng(len(seeds)).uniform(0.0, 1.0, ctx.L))))
+    plain = ctx.run_many(schemes, seeds, zoi=zoi, v_first=v_first, record_holders=True)
+    checked = ctx.run_many(schemes, seeds, zoi=zoi, v_first=v_first, record_holders=True,
+                           debug_ledger=True)
+    for got, want in zip(plain, checked):
+        assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("mode", ["instantaneous", "capacity"])
 def test_desk_batch_matches_one_run_engine(grid, desk_traj, desk_contacts, mode):
     ch = ChannelModel(1.0e6, 5.0, 3.0, 100.0, mode=mode, content_bits=8 * 2 ** 20 * 8)
     ctx = SimContext(grid, desk_traj, desk_contacts, ch, [150.0, 150.0])
@@ -369,8 +390,8 @@ def test_transfer_checks_name_the_fault(grid, desk_traj, desk_contacts, capacity
     real = SimContext._step_capacity
 
     def broken(self, *args):
-        gained, xfer = real(self, *args)
-        return gained, corrupt(xfer) if len(xfer) else xfer
+        xfer = real(self, *args)
+        return corrupt(xfer) if len(xfer) else xfer
 
     monkeypatch.setattr(SimContext, "_step_capacity", broken)
     with pytest.raises(LedgerImbalanceError, match=f"run 1: track [0-9]+ {fault}"):
@@ -406,9 +427,8 @@ def test_ledger_imbalance_names_the_run(grid, desk_traj, desk_contacts, instant_
     real = SimContext._step_instant
 
     def leaky(self, events, holds, *args):
-        gained = real(self, events, holds, *args)
-        holds[1, :] = False                  # run 1 loses holders off the books
-        return gained
+        real(self, events, holds, *args)
+        holds[:, 1] = False                  # run 1 loses holders off the books
 
     monkeypatch.setattr(SimContext, "_step_instant", leaky)
     with pytest.raises(LedgerImbalanceError, match="run 1"):
